@@ -2,12 +2,16 @@
 
 Two implementations of the same satisfaction relation live here.
 
-``evaluate`` memoizes verdicts on (history, subformula) pairs and groups
-histories into indistinguishability classes by signature, so repeated class
-queries stay cheap.  ``evaluate_naive`` is a deliberately independent,
-unmemoized transcription of the relation used as an oracle: it quantifies by
-literally enumerating histories and filtering with ``hist_indist``.  The two
-must agree everywhere; the harness cross-checks them.
+``evaluate`` memoizes verdicts on (history, subformula) pairs and takes each
+nonempty coalition's indistinguishability classes from the system's class
+index (:func:`knowhow.system.indist_class`).  The index is built once per
+(length, coalition) on the system, so every later ``evaluate`` and
+``witness`` call on the same system reuses it.  ``evaluate_naive`` is a
+deliberately independent, unmemoized transcription of the relation used as
+an oracle: it quantifies by literally enumerating histories and filtering
+with ``hist_indist``, and never touches the index (nor does the harness's
+history signature).  The two must agree everywhere; the harness
+cross-checks them.
 
 Empty-coalition modalities quantify over histories of every length, which is
 not enumerable, so both implementations cap the enumeration at a caller
@@ -25,7 +29,8 @@ from .formula import (
 )
 from .system import (
     EpistemicTransitionSystem, History, Profile,
-    histories_of_length, hist_indist, profile_agrees, validate_history,
+    histories_of_length, hist_indist, indist_class, profile_agrees,
+    validate_history,
 )
 
 
@@ -102,33 +107,7 @@ class _Evaluator:
         self.ets = ets
         self.horizon = horizon
         self.memo: dict[Formula, dict[History, bool]] = {}
-        self.class_cache: dict[tuple[int, Coalition], dict[History, tuple[History, ...]]] = {}
         self.bounded = False
-
-    def _signature(self, h: History, members: tuple[str, ...]) -> tuple:
-        block = self.ets._block
-        return (
-            tuple(tuple(block[a][w] for a in members) for w in h.states),
-            tuple(tuple(s[a] for a in members) for s in h.profiles),
-        )
-
-    def cls(self, h: History, coalition: Coalition) -> tuple[History, ...]:
-        """The indistinguishability class of ``h``, via one grouping pass per
-        (length, coalition) pair."""
-        key = (h.length, coalition)
-        table = self.class_cache.get(key)
-        if table is None:
-            members = tuple(sorted(coalition))
-            buckets: dict[tuple, list[History]] = {}
-            for g in histories_of_length(self.ets, h.length):
-                buckets.setdefault(self._signature(g, members), []).append(g)
-            table = {}
-            for group in buckets.values():
-                members_tuple = tuple(group)
-                for g in group:
-                    table[g] = members_tuple
-            self.class_cache[key] = table
-        return table[h]
 
     def sat(self, h: History, f: Formula) -> bool:
         table = self.memo.get(f)
@@ -153,7 +132,8 @@ class _Evaluator:
         if isinstance(f, Know):
             if not f.coalition:
                 return self.sat_everywhere(f.sub, 0)
-            return all(self.sat(g, f.sub) for g in self.cls(h, f.coalition))
+            return all(self.sat(g, f.sub)
+                       for g in indist_class(self.ets, h, f.coalition))
         if isinstance(f, How):
             if not f.coalition:
                 return self.sat_everywhere(f.sub, 1)
@@ -165,7 +145,7 @@ class _Evaluator:
     def achieves(self, h: History, coalition: Coalition, strategy: Profile,
                  body: Formula) -> bool:
         """One-step know-how clause for a fixed strategy profile."""
-        for g in self.cls(h, coalition):
+        for g in indist_class(self.ets, h, coalition):
             for full_profile, w in self.ets.successors(g.head):
                 if profile_agrees(full_profile, strategy, coalition):
                     if not self.sat(g.extend(full_profile, w), body):

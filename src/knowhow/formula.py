@@ -195,12 +195,22 @@ def _tokenize(text: str) -> list[_Token]:
 
 _UNARY_START = (_BANG, _IDENT, _TRUE, _FALSE, _LPAREN)
 
+#: Deepest operand nesting ``parse`` accepts.  Every ``!``, ``K{..}``,
+#: ``H{..}``, ``->`` and ``(`` opens one level for the operand after it, so
+#: ``"!" * MAX_NESTING + "p"`` is the deepest chain of negations.  The parser,
+#: the printer and the checker recurse per level, the checker up to five
+#: frames per ``H{..}``, so a formula of any shape at this bound still runs
+#: under Python's default recursion limit of 1000.  Deeper text fails as a
+#: syntax error instead of a RecursionError.
+MAX_NESTING = 150
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -216,22 +226,32 @@ class _Parser:
             raise FormulaSyntaxError("syntax error", tok.offset, (kind,))
         return self.advance()
 
+    def nested(self, parse_operand, opener: _Token) -> Formula:
+        """Parse the operand that ``opener`` introduces, one level deeper."""
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_NESTING} levels", opener.offset)
+        self.depth += 1
+        operand = parse_operand()
+        self.depth -= 1
+        return operand
+
     def formula(self) -> Formula:
         left = self.unary()
         if self.peek().kind == _ARROW:
-            self.advance()
-            return Implies(left, self.formula())
+            arrow = self.advance()
+            return Implies(left, self.nested(self.formula, arrow))
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == _BANG:
             self.advance()
-            return Not(self.unary())
+            return Not(self.nested(self.unary, tok))
         if tok.kind == _IDENT and tok.text in ("K", "H") and self.peek(1).kind == _LBRACE:
             self.advance()
             coalition = self.coalition()
-            sub = self.unary()
+            sub = self.nested(self.unary, tok)
             return Know(coalition, sub) if tok.text == "K" else How(coalition, sub)
         return self.atom()
 
@@ -248,7 +268,7 @@ class _Parser:
             return Atom(tok.text)
         if tok.kind == _LPAREN:
             self.advance()
-            inner = self.formula()
+            inner = self.nested(self.formula, tok)
             self.expect(_RPAREN)
             return inner
         raise FormulaSyntaxError("syntax error", tok.offset, _UNARY_START)

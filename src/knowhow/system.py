@@ -6,13 +6,19 @@ mechanism relation over (state, complete profile, state) triples, and a
 valuation of proposition tokens.  Histories are mechanism-consistent
 alternating sequences of states and complete profiles; all queries here are
 pure and every value is immutable after construction.
+
+A system memoizes its history levels and, per nonempty coalition, an index
+of the coalition's indistinguishability classes on each level (see
+:func:`indist_class`).  The relations ``state_indist``, ``profile_agrees``
+and ``hist_indist`` are the plain pairwise definitions and never consult
+either cache.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .formula import Coalition, IDENT_RE
 
@@ -119,6 +125,18 @@ class History:
         return " ; ".join(parts)
 
 
+class ClassTable(NamedTuple):
+    """A coalition's indistinguishability classes on one history level.
+
+    ``ids[i]`` is the class id of the ``i``-th history of
+    ``histories_of_length`` and ``classes[k]`` holds the members of class
+    ``k`` in level order.
+    """
+
+    ids: list[int]
+    classes: list[tuple[History, ...]]
+
+
 class EpistemicTransitionSystem:
     """Finite multi-agent transition system with per-agent state partitions.
 
@@ -206,17 +224,16 @@ class EpistemicTransitionSystem:
             by_state[w1].append((profile, w2))
         for w, out in by_state.items():
             self._succ[w] = tuple(sorted(out))
+        self._complete_profiles = self.profiles_over(self.agents)
         self._hist_cache: dict[int, tuple[History, ...]] = {}
+        self._hist_pos: dict[int, dict[History, int]] = {}
+        self._class_index: dict[tuple[int, Coalition], ClassTable] = {}
         self._regular: bool | None = None
 
     @property
     def complete_profiles(self) -> tuple[Profile, ...]:
         """All |choices|^|agents| complete profiles, in lexicographic order."""
-        agents = sorted(self.agents)
-        choices = sorted(self.choices)
-        return tuple(
-            Profile(tuple(zip(agents, combo)))
-            for combo in itertools.product(choices, repeat=len(agents)))
+        return self._complete_profiles
 
     def profiles_over(self, coalition: Coalition) -> tuple[Profile, ...]:
         """All strategy profiles of the coalition, in lexicographic order."""
@@ -325,17 +342,63 @@ def histories_of_length(ets: EpistemicTransitionSystem, n: int) -> tuple[History
 
 def indist_class(ets: EpistemicTransitionSystem, h: History,
                  coalition: Coalition) -> tuple[History, ...]:
-    """Every history the coalition cannot distinguish from ``h``.
+    """Every history of ``ets`` the coalition cannot distinguish from ``h``.
 
     Only defined for nonempty coalitions, whose classes are confined to
     histories of equal length; the empty coalition relates histories of all
-    lengths and needs horizon-bounded enumeration instead.
+    lengths and needs horizon-bounded enumeration instead.  A lookup into the
+    system's class index, which builds each (length, coalition) table once.
     """
     if not coalition:
         raise ValueError("indist_class needs a nonempty coalition")
-    return tuple(
-        g for g in histories_of_length(ets, h.length)
-        if hist_indist(ets, h, g, coalition))
+    n = h.length
+    table = ets._class_index.get((n, coalition))
+    if table is None:
+        table = _build_class_table(ets, n, coalition)
+    return table.classes[table.ids[ets._hist_pos[n][h]]]
+
+
+def _build_class_table(ets: EpistemicTransitionSystem, n: int,
+                       coalition: Coalition) -> ClassTable:
+    """Partition level ``n`` by refining the coalition's level ``n - 1`` classes.
+
+    Under perfect recall two histories are indistinguishable iff their
+    prefixes are, the members voted alike in the last step, and the heads
+    look alike to every member (the decomposition lemma).  So the class id of
+    ``g.extend(s, w)`` is interned from (class id of ``g``, the members'
+    votes in ``s``, the members' blocks of ``w``), walking level ``n - 1``
+    and its successors in the order that ``histories_of_length`` uses.
+    """
+    members = sorted(coalition)
+    blocks = {w: tuple(ets._block[a][w] for a in members) for w in ets.states}
+    level = histories_of_length(ets, n)
+    intern: dict = {}
+    if n == 0:
+        ids = [intern.setdefault(blocks[g.head], len(intern)) for g in level]
+    else:
+        prev = ets._class_index.get((n - 1, coalition))
+        if prev is None:
+            prev = _build_class_table(ets, n - 1, coalition)
+        votes = {s: tuple(c for a, c in s.votes if a in coalition)
+                 for s in ets.complete_profiles}
+        # each transition's (votes, head blocks) pair, interned as a small int
+        steps: dict[tuple, int] = {}
+        step_ids = {
+            w: [steps.setdefault((votes[s], blocks[w2]), len(steps))
+                for s, w2 in ets._succ[w]]
+            for w in ets.states}
+        width = len(steps)
+        ids = [intern.setdefault(prefix_id * width + step, len(intern))
+               for prefix_id, g in zip(prev.ids, histories_of_length(ets, n - 1))
+               for step in step_ids[g.head]]
+    groups: list[list[History]] = [[] for _ in intern]
+    for k, g in zip(ids, level):
+        groups[k].append(g)
+    if n not in ets._hist_pos:
+        ets._hist_pos[n] = {g: i for i, g in enumerate(level)}
+    table = ets._class_index[(n, coalition)] = ClassTable(
+        ids, [tuple(group) for group in groups])
+    return table
 
 
 def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:

@@ -4,6 +4,7 @@ import pytest
 
 from knowhow.cli import main
 from knowhow.fixtures import fixture_text, proof_text
+from knowhow.formula import MAX_NESTING
 
 
 @pytest.fixture
@@ -55,6 +56,29 @@ def test_check_bad_formula_is_usage_error(t1_path, capsys):
                  "--history", "w2", "--formula", "p ->"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# one state looping under one choice: every history level has one member, so
+# even a chain of MAX_NESTING know-how operators is cheap to decide
+LOOP = "agents: a\nchoices: 0\nstates: w0\ntrans w0 [] w0\nvaluation p: w0\n"
+
+
+@pytest.mark.parametrize("op", ["H{a} ", "K{} ", "H{} ", "K{a} ", "!"])
+def test_check_decides_a_formula_nested_to_the_limit(tmp_path, capsys, op):
+    path = tmp_path / "loop.ets"
+    path.write_text(LOOP)
+    code = main(["check", "--system", str(path), "--history", "w0",
+                 "--formula", op * MAX_NESTING + "p"])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert f"verdict: {code == 0}" in out
+
+
+def test_check_rejects_a_formula_nested_past_the_limit(t1_path, capsys):
+    code = main(["check", "--system", t1_path, "--history", "w2",
+                 "--formula", "!" * 5000 + "p"])
+    assert code == 2
+    assert f"deeper than {MAX_NESTING} levels" in capsys.readouterr().err
 
 
 def test_missing_file_is_reported(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knowhow.formula import (
-    Atom, Falsum, FormulaSyntaxError, How, Implies, Know, Not, TOP,
+    Atom, Falsum, FormulaSyntaxError, How, Implies, Know, MAX_NESTING, Not, TOP,
     format_formula, h_depth, parse, subformulas, uses_empty_coalition,
 )
 
@@ -87,6 +87,34 @@ def test_duplicate_agent_in_coalition_rejected():
     with pytest.raises(FormulaSyntaxError) as err:
         parse("K{a,a} p")
     assert err.value.offset == 4
+
+
+NESTED = {
+    "negation": lambda d: "!" * d + "p",
+    "know": lambda d: "K{a} " * d + "p",
+    "how": lambda d: "H{a} " * d + "p",
+    "parentheses": lambda d: "(" * d + "p" + ")" * d,
+    "implication": lambda d: " -> ".join(["p"] * (d + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_at_the_limit_parses_and_prints(shape):
+    f = parse(NESTED[shape](MAX_NESTING))
+    assert parse(format_formula(f)) == f
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_past_the_limit_is_a_syntax_error(shape):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(NESTED[shape](MAX_NESTING + 1))
+    assert f"deeper than {MAX_NESTING}" in str(err.value)
+
+
+def test_very_deep_formula_fails_fast():
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("!" * 5000 + "p")
+    assert err.value.offset == MAX_NESTING
 
 
 def test_h_depth():
