@@ -107,6 +107,7 @@ class _Evaluator:
         self.ets = ets
         self.horizon = horizon
         self.memo: dict[Formula, dict[History, bool]] = {}
+        self.everywhere: dict[tuple[Formula, int], bool] = {}
         self.bounded = False
 
     def sat(self, h: History, f: Formula) -> bool:
@@ -132,15 +133,27 @@ class _Evaluator:
         if isinstance(f, Know):
             if not f.coalition:
                 return self.sat_everywhere(f.sub, 0)
-            return all(self.sat(g, f.sub)
-                       for g in indist_class(self.ets, h, f.coalition))
+            cls = indist_class(self.ets, h, f.coalition)
+            return self.share(f, cls, all(self.sat(g, f.sub) for g in cls))
         if isinstance(f, How):
             if not f.coalition:
                 return self.sat_everywhere(f.sub, 1)
-            return any(
+            return self.share(f, indist_class(self.ets, h, f.coalition), any(
                 self.achieves(h, f.coalition, s, f.sub)
-                for s in self.ets.profiles_over(f.coalition))
+                for s in self.ets.profiles_over(f.coalition)))
         raise TypeError(f"not a formula: {f!r}")
+
+    def share(self, f: Formula, cls: tuple[History, ...], value: bool) -> bool:
+        """Record ``value`` for ``f`` at every history of ``cls``.
+
+        A nonempty-coalition ``K`` or ``H`` quantifies over the class of the
+        history it is evaluated at, so it has one value on the whole class,
+        and each class is scanned once per formula.
+        """
+        table = self.memo[f]
+        for g in cls:
+            table[g] = value
+        return value
 
     def achieves(self, h: History, coalition: Coalition, strategy: Profile,
                  body: Formula) -> bool:
@@ -153,12 +166,19 @@ class _Evaluator:
         return True
 
     def sat_everywhere(self, body: Formula, min_length: int) -> bool:
-        """Empty-coalition quantification over histories of length up to the horizon."""
-        found = self.find_counterexample(body, min_length)
-        if found is None:
-            self.bounded = True  # exhausted the cap without a refutation
-            return True
-        return False
+        """Empty-coalition quantification over histories of length up to the horizon.
+
+        The value does not depend on the history it is asked at, so each
+        (body, min_length) pair enumerates the levels once per evaluation.
+        """
+        key = (body, min_length)
+        value = self.everywhere.get(key)
+        if value is None:
+            value = self.find_counterexample(body, min_length) is None
+            if value:
+                self.bounded = True  # exhausted the cap without a refutation
+            self.everywhere[key] = value
+        return value
 
     def find_counterexample(self, body: Formula, min_length: int) -> History | None:
         for n in range(min_length, self.horizon + 1):

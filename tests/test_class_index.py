@@ -9,9 +9,9 @@ import random
 
 import pytest
 
-from knowhow import system
+from knowhow import checker, system
 from knowhow.checker import evaluate, evaluate_naive, witness
-from knowhow.formula import parse
+from knowhow.formula import How, Know, parse
 from knowhow.harness import (
     GenParams, LemmaReport, _check_history_relation, _coalitions, gen_formula,
     gen_system, lemma_suite,
@@ -61,6 +61,49 @@ def test_later_evaluations_and_witness_reuse_the_tables(monkeypatch):
     evaluate(ets, h, parse("K{a0} H{a0} !p"))
     witness(ets, h, a0, parse("K{a0} p"))
     assert built == first
+
+
+def test_each_class_is_scanned_once_per_modality(monkeypatch):
+    # with one block per agent a class holds a whole slice of its level, so
+    # scanning it again for every member made nested H{} goals quadratic
+    ets = gen_system(GenParams(seed=2, num_states=3))
+    f = parse("H{} ((q -> H{a1} q) -> K{a0} (H{a0} H{a1} q))")
+    h = histories_of_length(ets, 0)[1]
+    scanned = []
+    sat = checker._Evaluator._sat
+
+    def counting(self, g, sub):
+        if isinstance(sub, (Know, How)) and sub.coalition:
+            scanned.append((sub, indist_class(ets, g, sub.coalition)))
+        return sat(self, g, sub)
+
+    monkeypatch.setattr(checker._Evaluator, "_sat", counting)
+    verdict = evaluate(ets, h, f, horizon=3)
+    monkeypatch.undo()
+    assert max(len(cls) for _, cls in scanned) > 1
+    assert len(scanned) == len({(sub, id(cls)) for sub, cls in scanned})
+    naive = evaluate_naive(ets, h, f, horizon=3)
+    assert (verdict.value, verdict.bounded) == (naive.value, naive.bounded)
+
+
+def test_empty_coalition_levels_are_enumerated_once_per_body(monkeypatch):
+    # H{} inside K{} has one value at every history it is asked at
+    ets = gen_system(GenParams(seed=6, num_states=2))
+    f = parse("K{} H{} H{a0,a1} (q -> q)")
+    h = histories_of_length(ets, 0)[1]
+    searched = []
+    find = checker._Evaluator.find_counterexample
+
+    def counting(self, body, min_length):
+        searched.append((body, min_length))
+        return find(self, body, min_length)
+
+    monkeypatch.setattr(checker._Evaluator, "find_counterexample", counting)
+    verdict = evaluate(ets, h, f, horizon=2)
+    monkeypatch.undo()
+    assert len(searched) == len(set(searched)) == 2
+    naive = evaluate_naive(ets, h, f, horizon=2)
+    assert (verdict.value, verdict.bounded) == (naive.value, naive.bounded)
 
 
 def _refuse_to_build(ets, n, coalition):
