@@ -18,7 +18,7 @@ from .checker import HorizonError, evaluate, witness
 from .formula import FormulaSyntaxError, h_depth, parse, uses_empty_coalition, How
 from .fixtures import FIXTURES, load_fixture, run_claims
 from .harness import GenParams, lemma_suite, soundness_suite
-from .proofkit import ProofFormatError, parse_derivation, verify
+from .proofkit import OpaqueLimitError, ProofFormatError, parse_derivation, verify
 from .system import (
     InvalidHistoryError, ModelFormatError, check_regular, load_system,
     parse_history,
@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (FormulaSyntaxError, ModelFormatError, InvalidHistoryError,
-            ProofFormatError, HorizonError, OSError) as e:
+            ProofFormatError, OpaqueLimitError, HorizonError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

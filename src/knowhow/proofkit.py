@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from itertools import product
 
 from .formula import (
     Atom, Coalition, Falsum, Formula, How, Implies, Know, Not,
@@ -91,46 +90,91 @@ def match_axiom(f: Formula) -> frozenset[AxiomName]:
     return frozenset(out)
 
 
+#: Most distinct opaque subformulas ``is_tautology`` accepts; its truth
+#: table then holds 2^22 rows, one bit each.
+MAX_OPAQUE = 22
+
+
+class OpaqueLimitError(ValueError):
+    """A formula has more distinct opaque subformulas than ``MAX_OPAQUE``."""
+
+    def __init__(self, count: int, line_no: int | None = None):
+        self.count = count
+        message = f"too many distinct opaque subformulas ({count}, limit {MAX_OPAQUE})"
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+
+
+# operator markers on is_tautology's work stack
+_NOT, _IMPLIES = object(), object()
+
+
 def is_tautology(f: Formula) -> bool:
     """Propositional validity with every K/H subformula and atom opaque.
 
     Syntactically identical opaque subtrees share one boolean variable;
-    ``false`` is the constant.  Decided by exhausting all assignments.
+    ``false`` is the constant.  With n variables the whole truth table is
+    evaluated at once: variable i is a 2^n-bit integer whose bit k is bit i
+    of k, the connectives become bitwise operations, and the formula is valid
+    iff its mask has every bit set.  Both passes over the tree use explicit
+    stacks, so formulas nested past the recursion limit are decided too.
+    Raises ``OpaqueLimitError`` above ``MAX_OPAQUE`` variables.
     """
-    variables: list[Formula] = []
-    seen: set[Formula] = set()
-
-    def scan(g: Formula) -> None:
+    index: dict[Formula, int] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if isinstance(g, (Atom, Know, How)):
-            if g not in seen:
-                seen.add(g)
-                variables.append(g)
+            index.setdefault(g, len(index))
         elif isinstance(g, Not):
-            scan(g.sub)
+            stack.append(g.sub)
         elif isinstance(g, Implies):
-            scan(g.left)
-            scan(g.right)
-        # Falsum has no variables
+            stack.append(g.right)
+            stack.append(g.left)
+        elif not isinstance(g, Falsum):
+            raise TypeError(f"not a formula: {g!r}")
+    n = len(index)
+    if n > MAX_OPAQUE:
+        raise OpaqueLimitError(n)
 
-    scan(f)
-    if len(variables) > 22:
-        raise ValueError(f"too many distinct opaque subformulas ({len(variables)})")
+    rows = 1 << n
+    full = (1 << rows) - 1
+    masks = []
+    for i in range(n):
+        # 2^i zeros then 2^i ones, doubled until it spans every row
+        width = 2 << i
+        m = ((1 << (1 << i)) - 1) << (1 << i)
+        while width < rows:
+            m |= m << width
+            width <<= 1
+        masks.append(m)
 
-    def value(g: Formula, env: dict[Formula, bool]) -> bool:
-        if isinstance(g, Falsum):
-            return False
-        if isinstance(g, (Atom, Know, How)):
-            return env[g]
-        if isinstance(g, Not):
-            return not value(g.sub, env)
-        if isinstance(g, Implies):
-            return not value(g.left, env) or value(g.right, env)
-        raise TypeError(f"not a formula: {g!r}")
-
-    for combo in product((False, True), repeat=len(variables)):
-        if not value(f, dict(zip(variables, combo))):
-            return False
-    return True
+    # postfix evaluation: _NOT and _IMPLIES mark where an operator applies
+    # to the masks its operands left on ``values``.  The consequent goes
+    # first, so a right-nested chain ``a -> b -> ... -> z`` (the shape
+    # ``->`` associates to) keeps one pending mask, not one per arrow.
+    values: list[int] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g is _NOT:
+            values.append(full ^ values.pop())
+        elif g is _IMPLIES:
+            x = values.pop()
+            values.append((full ^ x) | values.pop())
+        elif isinstance(g, Falsum):
+            values.append(0)
+        elif isinstance(g, Not):
+            stack.append(_NOT)
+            stack.append(g.sub)
+        elif isinstance(g, Implies):
+            stack.append(_IMPLIES)
+            stack.append(g.left)
+            stack.append(g.right)
+        else:
+            values.append(masks[index[g]])
+    return values.pop() == full
 
 
 # --- derivations -----------------------------------------------------------
@@ -219,12 +263,20 @@ THEOREM, FROM_HYPOTHESES = "theorem", "hypothesis"
 
 
 def verify(d: Derivation) -> VerifyResult:
-    """Check every line and the goal; report the earliest failure."""
+    """Check every line and the goal; report the earliest failure.
+
+    A ``taut`` line over more than ``MAX_OPAQUE`` opaque subformulas is not
+    decided: ``OpaqueLimitError`` names the line instead.
+    """
     modes: list[str] = []
     for idx, line in enumerate(d.lines, start=1):
         f, how = line.formula, line.justification
         if isinstance(how, Tautology):
-            if not is_tautology(f):
+            try:
+                valid = is_tautology(f)
+            except OpaqueLimitError as e:
+                raise OpaqueLimitError(e.count, idx) from None
+            if not valid:
                 return VerifyResult(False, idx, "not a propositional tautology")
             modes.append(THEOREM)
         elif isinstance(how, AxiomInstance):

@@ -5,6 +5,7 @@ import pytest
 from knowhow.cli import main
 from knowhow.fixtures import fixture_text, proof_text
 from knowhow.formula import MAX_NESTING
+from knowhow.proofkit import MAX_OPAQUE
 
 
 @pytest.fixture
@@ -97,6 +98,16 @@ def test_prove_ok_and_failing(tmp_path, capsys):
     bad.write_text(proof_text("bad_cooperation_overlap.proof"))
     assert main(["prove", str(bad)]) == 1
     assert "line 2" in capsys.readouterr().out
+
+
+def test_prove_over_the_opaque_cap_is_a_usage_error(tmp_path, capsys):
+    f = " -> ".join(f"p{i}" for i in range(MAX_OPAQUE + 1))
+    proof = tmp_path / "wide.proof"
+    proof.write_text(f"lines:\n  1: {f}    taut\ngoal: {f}\n")
+    assert main(["prove", str(proof)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: too many distinct opaque subformulas (23, limit 22)")
+    assert "Traceback" not in err
 
 
 def test_examples_commands(capsys):

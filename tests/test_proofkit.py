@@ -1,12 +1,15 @@
 import itertools
+import random
+import time
 
 import pytest
 
-from knowhow.formula import Atom, Falsum, Implies, Know, How, Not, parse
+from knowhow.formula import TOP, Atom, Falsum, Implies, Know, How, Not, parse
 from knowhow.fixtures import proof_text
 from knowhow.proofkit import (
     AxiomInstance, AxiomName, Derivation, Hypothesis, Line, ModusPonens,
-    Necessitation, ProofFormatError, StrategicNecessitation, Tautology,
+    MAX_OPAQUE, Necessitation, OpaqueLimitError, ProofFormatError,
+    StrategicNecessitation, Tautology,
     derive_k_superdistributivity_instance, derive_superdistributivity_instance,
     format_derivation, is_tautology, match_axiom, parse_derivation, verify,
 )
@@ -53,6 +56,94 @@ class TestMatchAxiom:
     def test_instances_may_match_nothing(self):
         assert match_axiom(parse("p -> q")) == frozenset()
         assert match_axiom(parse("K{a} p")) == frozenset()
+
+
+def _chain(antecedents, conclusion):
+    """``a1 -> a2 -> ... -> conclusion``, built without the parser."""
+    for a in reversed(antecedents):
+        conclusion = Implies(a, conclusion)
+    return conclusion
+
+
+def _nest(op, depth, f):
+    for _ in range(depth):
+        f = op(f)
+    return f
+
+
+def _left_chain(length):
+    """``((p -> p) -> p) -> ... -> p`` with ``length`` arrows: valid iff odd."""
+    f = Atom("p")
+    for _ in range(length):
+        f = Implies(f, Atom("p"))
+    return f
+
+
+# opaque leaves for the random formulas: nested modalities, modal bodies with
+# connectives, and atoms that also occur inside modal bodies
+_OPAQUE_TEXTS = [
+    "p", "q", "r", "K{a} p", "K{a,b} p", "H{a} p", "H{} (p -> q)",
+    "K{a} H{b} !p", "H{a,b} K{} (p -> false)", "K{b} K{a} q",
+    "H{a} (K{a} p -> r)", "K{} true", "H{b} false", "K{a} !!p",
+]
+
+# schemas over the metavariables A, B, C; every substitution instance is valid
+_TAUTOLOGY_SCHEMAS = [
+    "A -> B -> A",
+    "(A -> B -> C) -> (A -> B) -> A -> C",
+    "(!A -> !B) -> B -> A",
+    "!!A -> A",
+    "A -> !!A",
+    "false -> A",
+    "A -> true",
+    "(A -> B) -> (B -> C) -> A -> C",
+    "!A -> A -> B",
+    "((A -> B) -> A) -> A",
+    "(A -> C) -> (B -> C) -> ((A -> false) -> B) -> C",
+    "!(A -> B) -> A",
+]
+
+
+def _random_formulas(rng, count):
+    """Seeded formulas over at most 10 opaque subformulas, about half valid.
+
+    Opaque leaves are parsed afresh at each use, so repeated subtrees are
+    equal but not the same object.  Every third formula substitutes random
+    formulas into a tautology schema; the rest are random trees.
+    """
+    schemas = [parse(text) for text in _TAUTOLOGY_SCHEMAS]
+
+    def tree(pool, depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.1:
+            pick = rng.random()
+            if pick < 0.08:
+                return Falsum()
+            if pick < 0.16:
+                return TOP
+            return parse(rng.choice(pool))
+        if roll < 0.25:
+            return Not(tree(pool, depth - 1))
+        return Implies(tree(pool, depth - 1), tree(pool, depth - 1))
+
+    def substitute(f, env):
+        if isinstance(f, Atom):
+            return env[f.name]
+        if isinstance(f, Not):
+            return Not(substitute(f.sub, env))
+        if isinstance(f, Implies):
+            return Implies(substitute(f.left, env), substitute(f.right, env))
+        return f
+
+    out = []
+    for i in range(count):
+        pool = rng.sample(_OPAQUE_TEXTS, rng.randint(3, 10))
+        if i % 3 == 0:
+            env = {name: tree(pool, 2) for name in "ABC"}
+            out.append(substitute(rng.choice(schemas), env))
+        else:
+            out.append(tree(pool, 6))
+    return out
 
 
 class TestIsTautology:
@@ -118,6 +209,46 @@ class TestIsTautology:
         for text in samples:
             f = parse(text)
             assert is_tautology(f) == brute(f), text
+
+        formulas = _random_formulas(random.Random(20171), 400)
+        verdicts = []
+        for f in formulas:
+            verdict = brute(f)
+            assert is_tautology(f) == verdict, str(f)
+            verdicts.append(verdict)
+        # the generator must keep producing both verdicts, so a decider
+        # stuck on either answer fails here
+        assert 0.35 <= sum(verdicts) / len(verdicts) <= 0.65
+
+    def test_opaque_cap_boundary_is_fast(self):
+        ms = [How(A, Atom(f"p{i}")) for i in range(MAX_OPAQUE)]
+        steps = [Implies(x, y) for x, y in zip(ms, ms[1:])]
+        for conclusion, valid in ((Implies(ms[0], ms[-1]), True),
+                                  (Implies(ms[-1], ms[0]), False)):
+            f = _chain(steps, conclusion)
+            start = time.perf_counter()
+            assert is_tautology(f) == valid
+            assert time.perf_counter() - start < 1.0
+
+    def test_over_the_cap_raises_a_typed_error(self):
+        f = _chain([Atom(f"p{i}") for i in range(MAX_OPAQUE)], Know(A, Atom("p0")))
+        with pytest.raises(OpaqueLimitError, match=r"\(23, limit 22\)"):
+            is_tautology(f)
+        d = Derivation((), (Line(f, Tautology()),), f)
+        with pytest.raises(OpaqueLimitError, match=r"^line 1: too many"):
+            verify(d)
+
+    @pytest.mark.parametrize("f, valid", [
+        (_nest(Not, 2000, Atom("p")), False),
+        (_nest(Not, 2000, TOP), True),
+        (_nest(Not, 2001, TOP), False),
+        (_chain([Atom(f"q{i % 3}") for i in range(2000)], Atom("q1")), True),
+        (_chain([Atom(f"q{i % 3}") for i in range(2000)], Atom("r")), False),
+        (_left_chain(2000), False),
+        (_left_chain(2001), True),
+    ])
+    def test_deep_formulas_past_the_recursion_limit(self, f, valid):
+        assert is_tautology(f) == valid
 
 
 BUNDLED_OK = [
