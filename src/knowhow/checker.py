@@ -4,20 +4,22 @@ Two implementations of the same satisfaction relation live here.
 
 ``evaluate`` memoizes verdicts on (history, subformula) pairs and takes each
 nonempty coalition's indistinguishability classes from the system's class
-index (:func:`knowhow.system.indist_class`).  The index is built once per
-(length, coalition) on the system, so every later ``evaluate`` and
-``witness`` call on the same system reuses it.  ``evaluate_naive`` is a
-deliberately independent, unmemoized transcription of the relation used as
-an oracle: it quantifies by literally enumerating histories and filtering
-with ``hist_indist``, and never touches the index (nor does the harness's
-history signature).  The two must agree everywhere; the harness
-cross-checks them.
+index (:func:`knowhow.system.indist_class`), which is built once per
+(length, coalition) and reused by every later call on the same system.  One
+strategy search serves ``evaluate`` and ``witness``: ``H{C}`` holds exactly
+when it finds a profile, and ``witness`` returns that profile.
+``evaluate_naive`` is a deliberately independent, unmemoized transcription
+of the relation used as an oracle: it quantifies by literally enumerating
+histories and filtering with ``hist_indist``, and never touches the index
+(nor does the harness's history signature).  The two must agree everywhere;
+the harness cross-checks them.
 
 Empty-coalition modalities quantify over histories of every length, which is
 not enumerable, so both implementations cap the enumeration at a caller
-supplied horizon.  A verdict is flagged ``bounded`` when some empty-coalition
-quantification ran out of horizon before it could be refuted; refutations
-come with a concrete counterexample history and are exact.
+supplied horizon.  ``evaluate`` walks the levels once per (body, minimum
+length) and keeps the first history that refutes the body, or None when the
+walk ran out of horizon; a verdict is flagged ``bounded`` when some walk did.
+The top-level counterexample is read from that memo.  Refutations are exact.
 """
 from __future__ import annotations
 
@@ -107,7 +109,7 @@ class _Evaluator:
         self.ets = ets
         self.horizon = horizon
         self.memo: dict[Formula, dict[History, bool]] = {}
-        self.everywhere: dict[tuple[Formula, int], bool] = {}
+        self.refutations: dict[tuple[Formula, int], History | None] = {}
         self.bounded = False
 
     def sat(self, h: History, f: Formula) -> bool:
@@ -132,15 +134,14 @@ class _Evaluator:
             return not self.sat(h, f.left) or self.sat(h, f.right)
         if isinstance(f, Know):
             if not f.coalition:
-                return self.sat_everywhere(f.sub, 0)
+                return self.refutation(f.sub, 0) is None
             cls = indist_class(self.ets, h, f.coalition)
             return self.share(f, cls, all(self.sat(g, f.sub) for g in cls))
         if isinstance(f, How):
             if not f.coalition:
-                return self.sat_everywhere(f.sub, 1)
-            return self.share(f, indist_class(self.ets, h, f.coalition), any(
-                self.achieves(h, f.coalition, s, f.sub)
-                for s in self.ets.profiles_over(f.coalition)))
+                return self.refutation(f.sub, 1) is None
+            return self.share(f, indist_class(self.ets, h, f.coalition),
+                              self.strategy(h, f.coalition, f.sub) is not None)
         raise TypeError(f"not a formula: {f!r}")
 
     def share(self, f: Formula, cls: tuple[History, ...], value: bool) -> bool:
@@ -155,30 +156,35 @@ class _Evaluator:
             table[g] = value
         return value
 
-    def achieves(self, h: History, coalition: Coalition, strategy: Profile,
-                 body: Formula) -> bool:
-        """One-step know-how clause for a fixed strategy profile."""
-        for g in indist_class(self.ets, h, coalition):
-            for full_profile, w in self.ets.successors(g.head):
-                if profile_agrees(full_profile, strategy, coalition):
-                    if not self.sat(g.extend(full_profile, w), body):
-                        return False
-        return True
+    def strategy(self, h: History, coalition: Coalition,
+                 body: Formula) -> Profile | None:
+        """First profile of ``profiles_over(coalition)`` that forces ``body``
+        from every history of ``h``'s class, or None; for the empty
+        coalition, the empty profile exactly when ``H{} body`` holds."""
+        if not coalition:
+            return Profile(()) if self.refutation(body, 1) is None else None
+        cls = indist_class(self.ets, h, coalition)
+        successors = self.ets.successors
+        for s in self.ets.profiles_over(coalition):
+            if all(self.sat(g.extend(full, w), body)
+                   for g in cls for full, w in successors(g.head)
+                   if profile_agrees(full, s, coalition)):
+                return s
+        return None
 
-    def sat_everywhere(self, body: Formula, min_length: int) -> bool:
-        """Empty-coalition quantification over histories of length up to the horizon.
+    def refutation(self, body: Formula, min_length: int) -> History | None:
+        """Memoized :meth:`find_counterexample`; None marks the verdict bounded.
 
-        The value does not depend on the history it is asked at, so each
-        (body, min_length) pair enumerates the levels once per evaluation.
+        ``K{}`` (``min_length`` 0) and ``H{}`` (1) have one value at every
+        history, so each pair walks the levels once per evaluation.
         """
         key = (body, min_length)
-        value = self.everywhere.get(key)
-        if value is None:
-            value = self.find_counterexample(body, min_length) is None
-            if value:
-                self.bounded = True  # exhausted the cap without a refutation
-            self.everywhere[key] = value
-        return value
+        if key in self.refutations:
+            return self.refutations[key]
+        found = self.refutations[key] = self.find_counterexample(body, min_length)
+        if found is None:
+            self.bounded = True  # exhausted the cap without a refutation
+        return found
 
     def find_counterexample(self, body: Formula, min_length: int) -> History | None:
         for n in range(min_length, self.horizon + 1):
@@ -200,8 +206,8 @@ def evaluate(ets: EpistemicTransitionSystem, h: History, f: Formula,
     ev = _Evaluator(ets, used)
     value = ev.sat(h, f)
     counterexample = None
-    if isinstance(f, (Know, How)) and not f.coalition and not value:
-        counterexample = ev.find_counterexample(f.sub, 1 if isinstance(f, How) else 0)
+    if isinstance(f, (Know, How)) and not f.coalition:
+        counterexample = ev.refutation(f.sub, 1 if isinstance(f, How) else 0)
     return Verdict(value, bounded=ev.bounded, horizon_used=used,
                    counterexample=counterexample)
 
@@ -283,16 +289,9 @@ def witness(ets: EpistemicTransitionSystem, h: History, coalition: Coalition,
             body: Formula, horizon: int | None = None) -> Witness | None:
     """First strategy profile (agents and choices in sorted order) that
     makes the know-how clause succeed, or None when none does."""
-    goal = How(coalition, body)
-    used = _check_preconditions(ets, h, goal, horizon)
-    ev = _Evaluator(ets, used)
-    if not coalition:
-        empty = Profile(())
-        return Witness(empty) if ev.sat(h, goal) else None
-    for strategy in ets.profiles_over(coalition):
-        if ev.achieves(h, coalition, strategy, body):
-            return Witness(strategy)
-    return None
+    used = _check_preconditions(ets, h, How(coalition, body), horizon)
+    found = _Evaluator(ets, used).strategy(h, coalition, body)
+    return None if found is None else Witness(found)
 
 
 def check_claim(ets: EpistemicTransitionSystem, h: History, f: Formula,

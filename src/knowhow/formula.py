@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 Coalition = frozenset[str]
 
-EMPTY: Coalition = frozenset()
-
 
 class FormulaSyntaxError(ValueError):
     """Parse failure, with the byte offset and the token set expected there."""

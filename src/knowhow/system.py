@@ -328,16 +328,12 @@ def histories_of_length(ets: EpistemicTransitionSystem, n: int) -> tuple[History
     """All histories with exactly ``n`` transitions, starting anywhere."""
     if n < 0:
         raise ValueError("history length must be non-negative")
-    if n not in ets._hist_cache:
-        if n == 0:
-            result = tuple(History((w,), ()) for w in sorted(ets.states))
-        else:
-            result = tuple(
-                ext
-                for h in histories_of_length(ets, n - 1)
-                for ext in extensions(ets, h))
-        ets._hist_cache[n] = result
-    return ets._hist_cache[n]
+    levels = ets._hist_cache
+    if not levels:
+        levels[0] = tuple(History((w,), ()) for w in sorted(ets.states))
+    for k in range(len(levels), n + 1):  # the cache holds levels 0..len - 1
+        levels[k] = tuple(ext for h in levels[k - 1] for ext in extensions(ets, h))
+    return levels[n]
 
 
 def indist_class(ets: EpistemicTransitionSystem, h: History,
@@ -347,27 +343,31 @@ def indist_class(ets: EpistemicTransitionSystem, h: History,
     Only defined for nonempty coalitions, whose classes are confined to
     histories of equal length; the empty coalition relates histories of all
     lengths and needs horizon-bounded enumeration instead.  A lookup into the
-    system's class index, which builds each (length, coalition) table once.
+    system's class index, which builds each (length, coalition) table once,
+    bottom-up from the lowest level it lacks.
     """
     if not coalition:
         raise ValueError("indist_class needs a nonempty coalition")
     n = h.length
     table = ets._class_index.get((n, coalition))
     if table is None:
-        table = _build_class_table(ets, n, coalition)
+        for k in range(n + 1):
+            if (k, coalition) not in ets._class_index:
+                table = _build_class_table(ets, k, coalition)
     return table.classes[table.ids[ets._hist_pos[n][h]]]
 
 
 def _build_class_table(ets: EpistemicTransitionSystem, n: int,
                        coalition: Coalition) -> ClassTable:
-    """Partition level ``n`` by refining the coalition's level ``n - 1`` classes.
+    """Partition level ``n`` by refining the coalition's level ``n - 1`` table.
 
     Under perfect recall two histories are indistinguishable iff their
     prefixes are, the members voted alike in the last step, and the heads
     look alike to every member (the decomposition lemma).  So the class id of
     ``g.extend(s, w)`` is interned from (class id of ``g``, the members'
     votes in ``s``, the members' blocks of ``w``), walking level ``n - 1``
-    and its successors in the order that ``histories_of_length`` uses.
+    and its successors in the order that ``histories_of_length`` uses.  The
+    level ``n - 1`` table must already be built.
     """
     members = sorted(coalition)
     blocks = {w: tuple(ets._block[a][w] for a in members) for w in ets.states}
@@ -376,9 +376,7 @@ def _build_class_table(ets: EpistemicTransitionSystem, n: int,
     if n == 0:
         ids = [intern.setdefault(blocks[g.head], len(intern)) for g in level]
     else:
-        prev = ets._class_index.get((n - 1, coalition))
-        if prev is None:
-            prev = _build_class_table(ets, n - 1, coalition)
+        prev = ets._class_index[(n - 1, coalition)]
         votes = {s: tuple(c for a, c in s.votes if a in coalition)
                  for s in ets.complete_profiles}
         # each transition's (votes, head blocks) pair, interned as a small int
@@ -566,11 +564,10 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
 
     ets = EpistemicTransitionSystem(
         agents, states, choices, indist_blocks, mechanism, valuation)
-    if require_regular:
+    if require_regular and not ets.is_regular:
         violations = check_regular(ets)
-        if violations:
-            w, profile = violations[0]
-            raise ModelFormatError(
-                f"system is not regular: no successor for state {w!r} under "
-                f"profile {profile} ({len(violations)} violations)")
+        w, profile = violations[0]
+        raise ModelFormatError(
+            f"system is not regular: no successor for state {w!r} under "
+            f"profile {profile} ({len(violations)} violations)")
     return ets

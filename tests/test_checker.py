@@ -63,12 +63,19 @@ def test_witness_examples(t1, t2):
 
 
 def test_witness_agrees_with_evaluate(t1):
+    seen = set()
     for n in range(2):
         for h in histories_of_length(t1, n):
-            for body_text in ("p", "!p", "H{a} p"):
-                body = parse(body_text)
-                has = evaluate(t1, h, How(A, body)).value
-                assert (witness(t1, h, A, body) is not None) is has
+            for coalition in (A, frozenset()):
+                for body_text in ("p", "!p", "H{a} p", "K{} (p -> p)",
+                                  "p -> H{} !p", "K{} (p -> p) -> p",
+                                  "!K{a} H{} p"):
+                    body = parse(body_text)
+                    has = evaluate(t1, h, How(coalition, body), horizon=3).value
+                    found = witness(t1, h, coalition, body, horizon=3)
+                    assert (found is not None) is has, (h, coalition, body)
+                    seen.add((coalition, has))
+    assert len(seen) == 4  # both verdicts occur for both coalitions
 
 
 def test_empty_coalition_witness_is_the_empty_profile(t1):

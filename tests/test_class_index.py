@@ -87,23 +87,27 @@ def test_each_class_is_scanned_once_per_modality(monkeypatch):
 
 
 def test_empty_coalition_levels_are_enumerated_once_per_body(monkeypatch):
-    # H{} inside K{} has one value at every history it is asked at
+    # H{} inside K{} has one value at every history it is asked at, and a
+    # false top-level K{}/H{} takes its counterexample from that one walk
     ets = gen_system(GenParams(seed=6, num_states=2))
-    f = parse("K{} H{} H{a0,a1} (q -> q)")
     h = histories_of_length(ets, 0)[1]
-    searched = []
     find = checker._Evaluator.find_counterexample
+    for text, walks, value in (("K{} H{} H{a0,a1} (q -> q)", 2, True),
+                               ("K{} p", 1, False), ("H{} p", 1, False)):
+        f = parse(text)
+        searched = []
 
-    def counting(self, body, min_length):
-        searched.append((body, min_length))
-        return find(self, body, min_length)
+        def counting(self, body, min_length):
+            searched.append((body, min_length))
+            return find(self, body, min_length)
 
-    monkeypatch.setattr(checker._Evaluator, "find_counterexample", counting)
-    verdict = evaluate(ets, h, f, horizon=2)
-    monkeypatch.undo()
-    assert len(searched) == len(set(searched)) == 2
-    naive = evaluate_naive(ets, h, f, horizon=2)
-    assert (verdict.value, verdict.bounded) == (naive.value, naive.bounded)
+        monkeypatch.setattr(checker._Evaluator, "find_counterexample", counting)
+        verdict = evaluate(ets, h, f, horizon=2)
+        monkeypatch.undo()
+        assert len(searched) == len(set(searched)) == walks, text
+        naive = evaluate_naive(ets, h, f, horizon=2)
+        assert verdict.value is value
+        assert verdict == naive, text
 
 
 def _refuse_to_build(ets, n, coalition):

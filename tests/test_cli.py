@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from knowhow import system
 from knowhow.cli import main
 from knowhow.fixtures import fixture_text, proof_text
 from knowhow.formula import MAX_NESTING
@@ -73,6 +74,37 @@ def test_check_decides_a_formula_nested_to_the_limit(tmp_path, capsys, op):
     out = capsys.readouterr().out
     assert code in (0, 1)
     assert f"verdict: {code == 0}" in out
+
+
+@pytest.mark.parametrize("formula", ["K{a} p", "H{a} p"])
+def test_check_decides_at_a_history_longer_than_the_recursion_limit(
+        tmp_path, capsys, formula):
+    # levels and class tables are built bottom-up, one loop step per level
+    path = tmp_path / "loop.ets"
+    path.write_text(LOOP)
+    history = " ; ".join(["w0"] + ["a=0", "w0"] * 1100)
+    code = main(["check", "--system", str(path), "--history", history,
+                 "--formula", formula])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "verdict: True" in out
+    assert "Traceback" not in out + err
+
+
+def test_check_scans_the_model_for_regularity_once(t1_path, capsys, monkeypatch):
+    scans = []
+    scan = system.check_regular
+
+    def counting(ets):
+        scans.append(ets)
+        return scan(ets)
+
+    monkeypatch.setattr(system, "check_regular", counting)
+    code = main(["check", "--system", t1_path,
+                 "--history", "w0 ; a=1 ; w1", "--formula", "H{a} K{} (p -> p)"])
+    assert code == 0
+    assert "witness: a=0" in capsys.readouterr().out
+    assert len(scans) == 1
 
 
 def test_check_rejects_a_formula_nested_past_the_limit(t1_path, capsys):
