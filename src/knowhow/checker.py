@@ -3,16 +3,18 @@
 Two implementations of the same satisfaction relation live here.
 
 ``evaluate`` memoizes verdicts on (history, subformula) pairs and takes each
-nonempty coalition's indistinguishability classes from the system's class
-index (:func:`knowhow.system.indist_class`), which is built once per
-(length, coalition) and reused by every later call on the same system.  One
-strategy search serves ``evaluate`` and ``witness``: ``H{C}`` holds exactly
-when it finds a profile, and ``witness`` returns that profile.
-``evaluate_naive`` is a deliberately independent, unmemoized transcription
-of the relation used as an oracle: it quantifies by literally enumerating
-histories and filtering with ``hist_indist``, and never touches the index
-(nor does the harness's history signature).  The two must agree everywhere;
-the harness cross-checks them.
+nonempty coalition's indistinguishability classes from the system
+(:func:`knowhow.system.indist_class`), which builds each class once, on
+demand, from the class of its prefix, and keeps it for every later call on
+the same system.  One strategy search serves ``evaluate`` and ``witness``:
+it groups the cached extensions of the class's histories by the
+coalition's votes, ``H{C}`` holds exactly when some profile's group forces
+the body, and ``witness`` returns that profile.  ``evaluate_naive`` is a
+deliberately independent, unmemoized transcription of the relation used as
+an oracle: it quantifies by literally enumerating histories and filtering
+with ``hist_indist``, and never touches the classes (nor does the harness's
+history signature).  The two must agree everywhere; the harness
+cross-checks them.
 
 Empty-coalition modalities quantify over histories of every length, which is
 not enumerable, so both implementations cap the enumeration at a caller
@@ -20,6 +22,8 @@ supplied horizon.  ``evaluate`` walks the levels once per (body, minimum
 length) and keeps the first history that refutes the body, or None when the
 walk ran out of horizon; a verdict is flagged ``bounded`` when some walk did.
 The top-level counterexample is read from that memo.  Refutations are exact.
+These walks are the only part of ``evaluate`` that builds whole history
+levels.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from .formula import (
     h_depth, uses_empty_coalition,
 )
 from .system import (
-    EpistemicTransitionSystem, History, Profile,
+    EpistemicTransitionSystem, History, Profile, extensions,
     histories_of_length, hist_indist, indist_class, profile_agrees,
     validate_history,
 )
@@ -163,12 +167,15 @@ class _Evaluator:
         coalition, the empty profile exactly when ``H{} body`` holds."""
         if not coalition:
             return Profile(()) if self.refutation(body, 1) is None else None
-        cls = indist_class(self.ets, h, coalition)
-        successors = self.ets.successors
-        for s in self.ets.profiles_over(coalition):
-            if all(self.sat(g.extend(full, w), body)
-                   for g in cls for full, w in successors(g.head)
-                   if profile_agrees(full, s, coalition)):
+        ets = self.ets
+        votes = ets.votes_of(coalition)
+        # the class's successors, grouped by the coalition's votes
+        forced: dict[tuple, list[History]] = {}
+        for g in indist_class(ets, h, coalition):
+            for ext in extensions(ets, g):
+                forced.setdefault(votes[ext.profiles[-1]], []).append(ext)
+        for s in ets.profiles_over(coalition):
+            if all(self.sat(ext, body) for ext in forced.get(s.votes, ())):
                 return s
         return None
 

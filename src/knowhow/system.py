@@ -5,20 +5,24 @@ indistinguishability blocks, a finite choice domain, a nondeterministic
 mechanism relation over (state, complete profile, state) triples, and a
 valuation of proposition tokens.  Histories are mechanism-consistent
 alternating sequences of states and complete profiles; all queries here are
-pure and every value is immutable after construction.
+pure, and no value changes once built.
 
-A system memoizes its history levels and, per nonempty coalition, an index
-of the coalition's indistinguishability classes on each level (see
-:func:`indist_class`).  The relations ``state_indist``, ``profile_agrees``
-and ``hist_indist`` are the plain pairwise definitions and never consult
-either cache.
+Each system grows one history tree: a ``History`` node points at its prefix,
+:func:`extensions` builds a node's children once and hands the same nodes to
+every later caller, :func:`histories_of_length` builds whole levels from
+those children, and :func:`parse_history` finds its literal by walking down
+from a root.  Per nonempty coalition the system also keeps the
+indistinguishability classes it has been asked for, built on demand from the
+class of the prefix (see :func:`indist_class`).  The relations
+``state_indist``, ``profile_agrees`` and ``hist_indist`` are the plain
+pairwise definitions and never consult the classes.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .formula import Coalition, IDENT_RE
 
@@ -90,21 +94,34 @@ def profile_agrees(s1: Profile, s2: Profile, coalition: Coalition) -> bool:
     return all(s1[a] == s2[a] for a in coalition)
 
 
-@dataclass(frozen=True)
 class History:
-    """States ``w_0..w_n`` interleaved with the profiles ``s_1..s_n`` that produced them."""
+    """States ``w_0..w_n`` interleaved with the profiles ``s_1..s_n`` that produced them.
 
-    states: tuple[str, ...]
-    profiles: tuple[Profile, ...]
+    A node of a history tree.  ``extend`` makes a child that points back at
+    this node and folds its hash from this node's hash, so a new history
+    costs O(1) hashing; ``History(states, profiles)`` folds the same hash
+    step by step, so it equals and hashes like the tree's node.  Every node
+    keeps the whole ``states`` and ``profiles`` tuples as plain attributes,
+    which the oracles read directly.  Nodes are never changed after they are
+    built, except that a history built from tuples builds its ``prefix`` on
+    first use.
+    """
 
-    __hash__ = _cached_hash
+    __slots__ = ("states", "profiles", "_prefix", "_h")
 
-    def __post_init__(self):
-        if not self.states or len(self.states) != len(self.profiles) + 1:
+    def __init__(self, states: tuple[str, ...], profiles: tuple[Profile, ...]):
+        states, profiles = tuple(states), tuple(profiles)
+        if not states or len(states) != len(profiles) + 1:
             raise InvalidHistoryError(
                 f"history needs n+1 states for n profiles, got "
-                f"{len(self.states)} states and {len(self.profiles)} profiles")
-        object.__setattr__(self, "_h", hash((self.states, self.profiles)))
+                f"{len(states)} states and {len(profiles)} profiles")
+        h = hash((states[0],))
+        for profile, state in zip(profiles, states[1:]):
+            h = hash((h, hash(profile), state))
+        self.states = states
+        self.profiles = profiles
+        self._prefix = None
+        self._h = h
 
     @property
     def head(self) -> str:
@@ -114,8 +131,34 @@ class History:
     def length(self) -> int:
         return len(self.profiles)
 
+    @property
+    def prefix(self) -> "History | None":
+        """The history one step shorter, or None at length 0."""
+        if self._prefix is None and self.profiles:
+            self._prefix = History(self.states[:-1], self.profiles[:-1])
+        return self._prefix
+
     def extend(self, profile: Profile, state: str) -> "History":
-        return History(self.states + (state,), self.profiles + (profile,))
+        child = object.__new__(History)
+        child.states = self.states + (state,)
+        child.profiles = self.profiles + (profile,)
+        child._prefix = self
+        child._h = hash((self._h, profile._h, state))
+        return child
+
+    def __hash__(self) -> int:
+        return self._h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, History):
+            return NotImplemented
+        return (self._h == other._h and self.states == other.states
+                and self.profiles == other.profiles)
+
+    def __repr__(self) -> str:
+        return f"History(states={self.states!r}, profiles={self.profiles!r})"
 
     def __str__(self) -> str:
         parts = [self.states[0]]
@@ -123,18 +166,6 @@ class History:
             parts.append(str(profile))
             parts.append(state)
         return " ; ".join(parts)
-
-
-class ClassTable(NamedTuple):
-    """A coalition's indistinguishability classes on one history level.
-
-    ``ids[i]`` is the class id of the ``i``-th history of
-    ``histories_of_length`` and ``classes[k]`` holds the members of class
-    ``k`` in level order.
-    """
-
-    ids: list[int]
-    classes: list[tuple[History, ...]]
 
 
 class EpistemicTransitionSystem:
@@ -225,9 +256,11 @@ class EpistemicTransitionSystem:
         for w, out in by_state.items():
             self._succ[w] = tuple(sorted(out))
         self._complete_profiles = self.profiles_over(self.agents)
-        self._hist_cache: dict[int, tuple[History, ...]] = {}
-        self._hist_pos: dict[int, dict[History, int]] = {}
-        self._class_index: dict[tuple[int, Coalition], ClassTable] = {}
+        self._levels: list[tuple[History, ...]] = []
+        self._children: dict[History, tuple[History, ...]] = {}
+        self._classes: dict[Coalition, dict[History, tuple[History, ...]]] = {}
+        self._votes: dict[Coalition, dict[Profile, tuple[tuple[str, str], ...]]] = {}
+        self._member_blocks: dict[Coalition, dict[str, tuple[int, ...]]] = {}
         self._regular: bool | None = None
 
     @property
@@ -242,6 +275,20 @@ class EpistemicTransitionSystem:
         return tuple(
             Profile(tuple(zip(members, combo)))
             for combo in itertools.product(choices, repeat=len(members)))
+
+    def votes_of(self, coalition: Coalition) -> dict[Profile, tuple[tuple[str, str], ...]]:
+        """Each complete profile's votes by the coalition's members.
+
+        The votes of ``s`` are the ``votes`` of ``s.restrict(coalition)``, so
+        they equal those of exactly one profile of ``profiles_over``.  Built
+        once per coalition.
+        """
+        table = self._votes.get(coalition)
+        if table is None:
+            table = self._votes[coalition] = {
+                s: tuple(vote for vote in s.votes if vote[0] in coalition)
+                for s in self._complete_profiles}
+        return table
 
     def successors(self, state: str) -> tuple[tuple[Profile, str], ...]:
         return self._succ[state]
@@ -320,19 +367,27 @@ def validate_history(ets: EpistemicTransitionSystem, h: History) -> None:
 
 
 def extensions(ets: EpistemicTransitionSystem, h: History) -> tuple[History, ...]:
-    """All one-step extensions of ``h`` permitted by the mechanism."""
-    return tuple(h.extend(profile, w) for profile, w in ets.successors(h.head))
+    """All one-step extensions of ``h`` permitted by the mechanism.
+
+    In successor order, and built once per history: every later call returns
+    the same nodes, so the system's histories form one tree.
+    """
+    children = ets._children.get(h)
+    if children is None:
+        children = ets._children[h] = tuple(
+            h.extend(profile, w) for profile, w in ets._succ[h.head])
+    return children
 
 
 def histories_of_length(ets: EpistemicTransitionSystem, n: int) -> tuple[History, ...]:
     """All histories with exactly ``n`` transitions, starting anywhere."""
     if n < 0:
         raise ValueError("history length must be non-negative")
-    levels = ets._hist_cache
+    levels = ets._levels
     if not levels:
-        levels[0] = tuple(History((w,), ()) for w in sorted(ets.states))
-    for k in range(len(levels), n + 1):  # the cache holds levels 0..len - 1
-        levels[k] = tuple(ext for h in levels[k - 1] for ext in extensions(ets, h))
+        levels.append(tuple(History((w,), ()) for w in sorted(ets.states)))
+    while len(levels) <= n:
+        levels.append(tuple(ext for g in levels[-1] for ext in extensions(ets, g)))
     return levels[n]
 
 
@@ -342,65 +397,72 @@ def indist_class(ets: EpistemicTransitionSystem, h: History,
 
     Only defined for nonempty coalitions, whose classes are confined to
     histories of equal length; the empty coalition relates histories of all
-    lengths and needs horizon-bounded enumeration instead.  A lookup into the
-    system's class index, which builds each (length, coalition) table once,
-    bottom-up from the lowest level it lacks.
+    lengths and needs horizon-bounded enumeration instead.
+
+    Classes are built on demand.  Under perfect recall two histories of
+    length n + 1 are indistinguishable iff their prefixes are, the members
+    voted alike in the last profile, and the heads look alike to every
+    member (the decomposition lemma).  So the class of ``g.extend(s, w)``
+    lies among the extensions of the class of ``g``, and partitioning those
+    extensions by (the members' votes in ``s``, the members' blocks of
+    ``w``) gives every class that refines it, with nothing else to look at.
+    On a miss this walks up the prefixes of ``h`` to the nearest one whose
+    class is known (at length 0, the states grouped by the members'
+    blocks) and refines one prefix class per step back down.  Only the
+    classes on that path, and their siblings, get built.
     """
     if not coalition:
         raise ValueError("indist_class needs a nonempty coalition")
-    n = h.length
-    table = ets._class_index.get((n, coalition))
-    if table is None:
-        for k in range(n + 1):
-            if (k, coalition) not in ets._class_index:
-                table = _build_class_table(ets, k, coalition)
-    return table.classes[table.ids[ets._hist_pos[n][h]]]
+    classes = ets._classes.get(coalition)
+    if classes is None:
+        classes = ets._classes[coalition] = {}
+    cls = classes.get(h)
+    if cls is None:
+        path = []
+        g = h
+        while g not in classes and g.profiles:
+            path.append(g)
+            g = g.prefix
+        if g not in classes:
+            _refine(ets, coalition, None)
+        for g in reversed(path):
+            _refine(ets, coalition, classes[g.prefix])
+        cls = classes[h]
+    return cls
 
 
-def _build_class_table(ets: EpistemicTransitionSystem, n: int,
-                       coalition: Coalition) -> ClassTable:
-    """Partition level ``n`` by refining the coalition's level ``n - 1`` table.
+def _refine(ets: EpistemicTransitionSystem, coalition: Coalition,
+            prefix_class: tuple[History, ...] | None) -> None:
+    """Partition the extensions of ``prefix_class`` into coalition classes.
 
-    Under perfect recall two histories are indistinguishable iff their
-    prefixes are, the members voted alike in the last step, and the heads
-    look alike to every member (the decomposition lemma).  So the class id of
-    ``g.extend(s, w)`` is interned from (class id of ``g``, the members'
-    votes in ``s``, the members' blocks of ``w``), walking level ``n - 1``
-    and its successors in the order that ``histories_of_length`` uses.  The
-    level ``n - 1`` table must already be built.
+    ``None`` stands for the length-0 histories, grouped by the members'
+    blocks of their one state.  Members stay in level order, and every
+    member of a class shares one tuple.
     """
-    members = sorted(coalition)
-    blocks = {w: tuple(ets._block[a][w] for a in members) for w in ets.states}
-    level = histories_of_length(ets, n)
-    intern: dict = {}
-    if n == 0:
-        ids = [intern.setdefault(blocks[g.head], len(intern)) for g in level]
+    blocks = ets._member_blocks.get(coalition)
+    if blocks is None:
+        members = sorted(coalition)
+        blocks = ets._member_blocks[coalition] = {
+            w: tuple(ets._block[a][w] for a in members) for w in ets.states}
+    groups: dict[tuple, list[History]] = {}
+    if prefix_class is None:
+        for g in histories_of_length(ets, 0):
+            groups.setdefault(blocks[g.head], []).append(g)
     else:
-        prev = ets._class_index[(n - 1, coalition)]
-        votes = {s: tuple(c for a, c in s.votes if a in coalition)
-                 for s in ets.complete_profiles}
-        # each transition's (votes, head blocks) pair, interned as a small int
-        steps: dict[tuple, int] = {}
-        step_ids = {
-            w: [steps.setdefault((votes[s], blocks[w2]), len(steps))
-                for s, w2 in ets._succ[w]]
-            for w in ets.states}
-        width = len(steps)
-        ids = [intern.setdefault(prefix_id * width + step, len(intern))
-               for prefix_id, g in zip(prev.ids, histories_of_length(ets, n - 1))
-               for step in step_ids[g.head]]
-    groups: list[list[History]] = [[] for _ in intern]
-    for k, g in zip(ids, level):
-        groups[k].append(g)
-    if n not in ets._hist_pos:
-        ets._hist_pos[n] = {g: i for i, g in enumerate(level)}
-    table = ets._class_index[(n, coalition)] = ClassTable(
-        ids, [tuple(group) for group in groups])
-    return table
+        votes = ets.votes_of(coalition)
+        for g in prefix_class:
+            for ext in extensions(ets, g):
+                key = (votes[ext.profiles[-1]], blocks[ext.states[-1]])
+                groups.setdefault(key, []).append(ext)
+    classes = ets._classes[coalition]
+    for group in groups.values():
+        cls = tuple(group)
+        for g in cls:
+            classes[g] = cls
 
 
 def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
-    """Parse a literal like ``w0 ; a=1,b=0 ; w4`` and validate it against ``ets``."""
+    """Parse a literal like ``w0 ; a=1,b=0 ; w4`` into the node of ``ets``'s history tree."""
     parts = [part.strip() for part in text.split(";")]
     if not parts or len(parts) % 2 == 0:
         raise InvalidHistoryError(
@@ -436,9 +498,17 @@ def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
                     f"profile misses agent {sorted(missing)[0]!r}; history "
                     f"literals need complete profiles")
             profiles.append(Profile.of(votes))
-    h = History(tuple(states), tuple(profiles))
-    validate_history(ets, h)
-    return h
+    # the tree's own node, so the anchor shares its prefixes and classes
+    node = next(g for g in histories_of_length(ets, 0) if g.head == states[0])
+    for w1, profile, w2 in zip(states, profiles, states[1:]):
+        for child in extensions(ets, node):
+            if child.states[-1] == w2 and child.profiles[-1] == profile:
+                node = child
+                break
+        else:
+            raise InvalidHistoryError(
+                f"({w1} ; {profile} ; {w2}) is not a mechanism transition")
+    return node
 
 
 def _expand_pattern(sys_agents: list[str], choices: list[str],

@@ -1,10 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from knowhow.checker import (
     HorizonError, RegularityError, Verdict, check_claim, evaluate,
     evaluate_naive, witness,
 )
-from knowhow.formula import How, parse
+from knowhow.formula import How, Not, h_depth, parse, uses_empty_coalition
 from knowhow.harness import GenParams, gen_formula, gen_system
 from knowhow.system import (
     InvalidHistoryError, Profile, History, load_system, parse_history,
@@ -178,3 +181,90 @@ def test_memoized_and_naive_agree_on_random_triples():
         assert evaluate(ets, h, f).value == evaluate_naive(ets, h, f).value
         agree += 1
     assert agree == 80
+
+
+def _empty_coalition_cases():
+    """(system, anchor, formula, horizon) with ``K{}``/``H{}`` in the formula,
+    over 80 ``gen_system`` seeds in two shapes and anchors of length 0-1.
+
+    The horizon is the floor, or one above it when the floor is below 3:
+    the naive oracle re-walks every level for each history of an outer
+    walk, so nested ``H{} H{}`` at horizon 4 would take seconds per case.
+    """
+    rng = random.Random(7)
+    for seed in range(80):
+        states, agents = (3, 1) if seed % 2 else (2, 2)
+        params = GenParams(seed=seed, num_states=states, num_agents=agents,
+                           branching=1.0 + 0.2 * (seed % 3 == 0))
+        ets = gen_system(params)
+        formulas = [gen_formula(params, tuple(sorted(ets.valuation)),
+                                tuple(sorted(ets.agents)),
+                                allow_empty_coalition=True, salt=salt)
+                    for salt in range(80)]
+        pool = [g for n in range(2) for g in histories_of_length(ets, n)]
+        for f in [f for f in formulas if uses_empty_coalition(f)][:3]:
+            h = rng.choice(pool)
+            floor = h.length + h_depth(f)
+            yield ets, h, f, floor + (rng.randint(0, 1) if floor < 3 else 0)
+
+
+def test_memoized_and_naive_agree_on_whole_verdicts_with_empty_coalitions():
+    outcomes = set()
+    counterexamples = 0
+    for ets, h, f, horizon in _empty_coalition_cases():
+        verdict = evaluate(ets, h, f, horizon)
+        assert verdict == evaluate_naive(ets, h, f, horizon), (f, str(h), horizon)
+        outcomes.add((verdict.value, verdict.bounded))
+        counterexamples += verdict.counterexample is not None
+    assert {value for value, _ in outcomes} == {True, False}
+    assert {bounded for _, bounded in outcomes} == {True, False}
+    assert counterexamples > 0
+
+
+# agent a cannot tell the states apart, so K{a} p holds at a history iff
+# every history of its length ends in w2: false up to length 1, true from 2
+COUNTDOWN = """
+agents: a
+choices: 0
+states: w0 w1 w2
+indist a: w0 w1 w2
+trans w0 [] w1
+trans w1 [] w2
+trans w2 [] w2
+valuation p: w2
+"""
+
+
+def _countdown_cases():
+    """Goals that hold up to horizon 1 and are refuted at horizon 2."""
+    ets = load_system(COUNTDOWN)
+    h = parse_history(ets, "w0")
+    for text in ("K{} !K{a} p", "H{} !K{a} p", "!H{} !K{a} p"):
+        for horizon in (1, 2, 3):
+            yield ets, h, parse(text), horizon
+
+
+def test_unbounded_verdicts_are_unchanged_at_a_larger_horizon():
+    unbounded = 0
+    for ets, h, f, horizon in itertools.chain(_empty_coalition_cases(),
+                                              _countdown_cases()):
+        for decide in (evaluate, evaluate_naive):
+            verdict = decide(ets, h, f, horizon)
+            if verdict.bounded:
+                continue
+            unbounded += 1
+            wider = decide(ets, h, f, horizon + 1)
+            assert (wider.value, wider.bounded, wider.counterexample) == (
+                verdict.value, False, verdict.counterexample), (f, str(h), horizon)
+    assert unbounded > 0
+
+
+def test_countdown_goals_are_bounded_until_refuted():
+    # the metamorphic test above only has teeth where a larger horizon
+    # changes a value; here it does, between horizons 1 and 2
+    for ets, h, f, horizon in _countdown_cases():
+        for decide in (evaluate, evaluate_naive):
+            verdict = decide(ets, h, f, horizon)
+            refuted = horizon >= 2
+            assert verdict.bounded is not refuted
+            assert verdict.value is (refuted if isinstance(f, Not) else not refuted)

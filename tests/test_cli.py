@@ -79,7 +79,7 @@ def test_check_decides_a_formula_nested_to_the_limit(tmp_path, capsys, op):
 @pytest.mark.parametrize("formula", ["K{a} p", "H{a} p"])
 def test_check_decides_at_a_history_longer_than_the_recursion_limit(
         tmp_path, capsys, formula):
-    # levels and class tables are built bottom-up, one loop step per level
+    # the anchor is resolved and its classes refined in loops, one step per level
     path = tmp_path / "loop.ets"
     path.write_text(LOOP)
     history = " ; ".join(["w0"] + ["a=0", "w0"] * 1100)

@@ -233,6 +233,21 @@ def test_parse_history_validates(t2):
     assert ok.length == 2 and ok.head == "w4"
 
 
+def test_parse_history_returns_the_nodes_of_the_history_tree(t1):
+    run = h(t1, "w0 ; a=1 ; w1 ; a=0 ; w2")
+    prefix = h(t1, "w0 ; a=1 ; w1")
+    assert run.prefix is prefix and prefix.prefix is h(t1, "w0")
+    assert [ext for ext in extensions(t1, prefix) if ext is run] == [run]
+    assert [g for g in histories_of_length(t1, 2) if g is run] == [run]
+    # built from its tuples, a history equals and hashes like the tree's node
+    copy = History(run.states, run.profiles)
+    assert copy is not run and copy == run and hash(copy) == hash(run)
+    assert copy.prefix == prefix and hash(copy.prefix) == hash(prefix)
+    with pytest.raises(InvalidHistoryError,
+                       match=r"^\(w1 ; a=1 ; w0\) is not a mechanism transition$"):
+        h(t1, "w0 ; a=1 ; w1 ; a=1 ; w0")
+
+
 def test_history_shape_is_checked():
     with pytest.raises(InvalidHistoryError):
         History(("w0", "w1"), ())
