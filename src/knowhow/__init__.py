@@ -5,7 +5,7 @@ systems, a Hilbert-style derivation verifier, and randomized property suites.
 
 from .formula import (
     Atom, Coalition, Falsum, Formula, FormulaSyntaxError, How, Implies, Know,
-    Not, format_formula, h_depth, parse, uses_empty_coalition,
+    NestingError, Not, format_formula, h_depth, parse, uses_empty_coalition,
 )
 from .system import (
     EpistemicTransitionSystem, History, InvalidHistoryError, ModelFormatError,
@@ -13,7 +13,7 @@ from .system import (
     indist_class, load_system, parse_history, profile_agrees, state_indist,
 )
 from .checker import (
-    ClaimResult, HorizonError, RegularityError, Verdict, Witness, check_claim,
+    ClaimResult, HorizonError, RegularityError, Verdict, check_claim,
     evaluate, evaluate_naive, witness,
 )
 from .proofkit import (
@@ -30,9 +30,9 @@ __all__ = [
     "Atom", "AxiomName", "ClaimResult", "Coalition", "Derivation",
     "EpistemicTransitionSystem", "Falsum", "Formula", "FormulaSyntaxError",
     "GenParams", "History", "HorizonError", "How", "Implies",
-    "InvalidHistoryError", "Know", "ModelFormatError", "Not", "Profile",
-    "ProofFormatError", "RegularityError", "Verdict", "VerifyResult",
-    "Witness", "check_claim", "check_regular",
+    "InvalidHistoryError", "Know", "ModelFormatError", "NestingError", "Not",
+    "Profile", "ProofFormatError", "RegularityError", "Verdict",
+    "VerifyResult", "check_claim", "check_regular",
     "derive_k_superdistributivity_instance",
     "derive_superdistributivity_instance", "evaluate", "evaluate_naive",
     "extensions", "format_formula", "gen_formula", "gen_system", "h_depth",

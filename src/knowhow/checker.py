@@ -1,37 +1,35 @@
-"""Satisfaction checking at histories, with witness strategy extraction.
+"""Satisfaction checking at histories; a know-how verdict carries its witness.
 
 Two implementations of the same satisfaction relation live here.
 
 ``evaluate`` memoizes verdicts on (history, subformula) pairs and takes each
 nonempty coalition's indistinguishability classes from the system
-(:func:`knowhow.system.indist_class`), which builds each class once, on
-demand, from the class of its prefix, and keeps it for every later call on
-the same system.  One strategy search serves ``evaluate`` and ``witness``:
-it groups the cached extensions of the class's histories by the
-coalition's votes, ``H{C}`` holds exactly when some profile's group forces
-the body, and ``witness`` returns that profile.  ``evaluate_naive`` is a
-deliberately independent, unmemoized transcription of the relation used as
-an oracle: it quantifies by literally enumerating histories and filtering
-with ``hist_indist``, and never touches the classes (nor does the harness's
-history signature).  The two must agree everywhere; the harness
-cross-checks them.
+(:func:`knowhow.system.indist_class`), built once each, on demand, from the
+class of the prefix.  One strategy search decides ``H{C}``: it groups the
+class's cached extensions by the coalition's votes and looks for a profile
+whose group forces the body.  For a top-level ``H{C}`` that profile is the
+verdict's ``strategy``, the know-how witness; ``witness`` is ``evaluate`` on
+an ``H{C}`` goal.  ``evaluate_naive`` is a deliberately independent,
+unmemoized transcription of the relation used as an oracle: it enumerates
+histories and filters with ``hist_indist``, tries profiles in the same order,
+and never touches the classes (nor does the harness's history signature).
+The two must agree everywhere, witness included; the harness cross-checks.
 
-Empty-coalition modalities quantify over histories of every length, which is
-not enumerable, so both implementations cap the enumeration at a caller
-supplied horizon.  ``evaluate`` walks the levels once per (body, minimum
-length) and keeps the first history that refutes the body, or None when the
-walk ran out of horizon; a verdict is flagged ``bounded`` when some walk did.
-The top-level counterexample is read from that memo.  Refutations are exact.
-These walks are the only part of ``evaluate`` that builds whole history
-levels.
+Empty-coalition modalities quantify over histories of every length, so both
+implementations cap the enumeration at a caller supplied horizon.
+``evaluate`` walks the levels once per (body, minimum length), keeping the
+first refuting history, or None when the walk ran out of horizon and the
+verdict is ``bounded``; the top-level counterexample is read from that memo.
+Refutations are exact.  Only these walks build whole history levels.
+Formulas built in code past ``MAX_NESTING`` raise ``NestingError`` up front.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .formula import (
-    Atom, Coalition, Falsum, Formula, How, Implies, Know, Not,
-    h_depth, uses_empty_coalition,
+    MAX_NESTING, Atom, Coalition, Falsum, Formula, How, Implies, Know,
+    NestingError, Not, h_depth, nesting, uses_empty_coalition,
 )
 from .system import (
     EpistemicTransitionSystem, History, Profile, extensions,
@@ -56,23 +54,20 @@ class Verdict:
     modality; otherwise it marks that some unbounded quantification was
     truncated at ``horizon_used`` without being refuted, so the verdict could
     change under a larger horizon.  ``counterexample`` is filled in when the
-    top-level formula is an empty-coalition K or H that came out False.
+    top-level formula is an empty-coalition K or H that came out False, and
+    ``strategy`` when it is an ``H{C}`` that came out True: the first profile
+    of ``profiles_over(C)`` that forces the body from every history of the
+    class (the know-how witness), or the empty profile for ``H{}``.
     """
 
     value: bool
     bounded: bool = False
     horizon_used: int = 0
     counterexample: History | None = None
+    strategy: Profile | None = None
 
     def __bool__(self) -> bool:
         return self.value
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Strategy profile validating a know-how claim."""
-
-    profile: Profile
 
 
 @dataclass(frozen=True)
@@ -93,6 +88,8 @@ def _check_preconditions(ets: EpistemicTransitionSystem, h: History,
     if not ets.is_regular:
         raise RegularityError(
             "system is not regular; every state/profile pair needs a successor")
+    if nesting(f) > MAX_NESTING:
+        raise NestingError(f"formula nests deeper than {MAX_NESTING} levels")
     if uses_empty_coalition(f):
         floor = h.length + h_depth(f)
         if horizon is None:
@@ -149,12 +146,8 @@ class _Evaluator:
         raise TypeError(f"not a formula: {f!r}")
 
     def share(self, f: Formula, cls: tuple[History, ...], value: bool) -> bool:
-        """Record ``value`` for ``f`` at every history of ``cls``.
-
-        A nonempty-coalition ``K`` or ``H`` quantifies over the class of the
-        history it is evaluated at, so it has one value on the whole class,
-        and each class is scanned once per formula.
-        """
+        """Record ``value`` for ``f`` at every history of ``cls``: a
+        nonempty-coalition ``K`` or ``H`` has one value on the whole class."""
         table = self.memo[f]
         for g in cls:
             table[g] = value
@@ -194,11 +187,9 @@ class _Evaluator:
         return found
 
     def find_counterexample(self, body: Formula, min_length: int) -> History | None:
-        for n in range(min_length, self.horizon + 1):
-            for g in histories_of_length(self.ets, n):
-                if not self.sat(g, body):
-                    return g
-        return None
+        levels = range(min_length, self.horizon + 1)
+        return next((g for n in levels for g in histories_of_length(self.ets, n)
+                     if not self.sat(g, body)), None)
 
 
 def evaluate(ets: EpistemicTransitionSystem, h: History, f: Formula,
@@ -211,12 +202,16 @@ def evaluate(ets: EpistemicTransitionSystem, h: History, f: Formula,
     """
     used = _check_preconditions(ets, h, f, horizon)
     ev = _Evaluator(ets, used)
-    value = ev.sat(h, f)
+    if isinstance(f, How):
+        strategy = ev.strategy(h, f.coalition, f.sub)
+        value = strategy is not None
+    else:
+        strategy, value = None, ev.sat(h, f)
     counterexample = None
     if isinstance(f, (Know, How)) and not f.coalition:
         counterexample = ev.refutation(f.sub, 1 if isinstance(f, How) else 0)
     return Verdict(value, bounded=ev.bounded, horizon_used=used,
-                   counterexample=counterexample)
+                   counterexample=counterexample, strategy=strategy)
 
 
 def _naive_sat(ets, h, f, horizon, flag) -> bool:
@@ -234,42 +229,48 @@ def _naive_sat(ets, h, f, horizon, flag) -> bool:
         return True
     if isinstance(f, Know):
         if not f.coalition:
-            for n in range(0, horizon + 1):
-                for g in histories_of_length(ets, n):
-                    if not _naive_sat(ets, g, f.sub, horizon, flag):
-                        return False
-            flag.append("truncated")
-            return True
+            return _naive_refutation(ets, f.sub, 0, horizon, flag) is None
         for g in histories_of_length(ets, h.length):
             if hist_indist(ets, h, g, f.coalition):
                 if not _naive_sat(ets, g, f.sub, horizon, flag):
                     return False
         return True
     if isinstance(f, How):
-        if not f.coalition:
-            for n in range(1, horizon + 1):
-                for g in histories_of_length(ets, n):
-                    if not _naive_sat(ets, g, f.sub, horizon, flag):
-                        return False
-            flag.append("truncated")
-            return True
-        for strategy in ets.profiles_over(f.coalition):
-            achieved = True
-            for g in histories_of_length(ets, h.length):
-                if not hist_indist(ets, h, g, f.coalition):
-                    continue
-                for full_profile, w in ets.successors(g.head):
-                    if profile_agrees(full_profile, strategy, f.coalition):
-                        if not _naive_sat(ets, g.extend(full_profile, w),
-                                          f.sub, horizon, flag):
-                            achieved = False
-                            break
-                if not achieved:
-                    break
-            if achieved:
-                return True
-        return False
+        return _naive_strategy(ets, h, f.coalition, f.sub, horizon, flag) is not None
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _naive_refutation(ets, body, min_length, horizon, flag) -> History | None:
+    # The first history up to the horizon where body fails, in level order.
+    for n in range(min_length, horizon + 1):
+        for g in histories_of_length(ets, n):
+            if not _naive_sat(ets, g, body, horizon, flag):
+                return g
+    flag.append("truncated")
+    return None
+
+
+def _naive_strategy(ets, h, coalition, body, horizon, flag) -> Profile | None:
+    # The know-how clause, one profile at a time in profiles_over order.
+    if not coalition:
+        refuted = _naive_refutation(ets, body, 1, horizon, flag)
+        return Profile(()) if refuted is None else None
+    for strategy in ets.profiles_over(coalition):
+        achieved = True
+        for g in histories_of_length(ets, h.length):
+            if not hist_indist(ets, h, g, coalition):
+                continue
+            for full_profile, w in ets.successors(g.head):
+                if profile_agrees(full_profile, strategy, coalition):
+                    if not _naive_sat(ets, g.extend(full_profile, w),
+                                      body, horizon, flag):
+                        achieved = False
+                        break
+            if not achieved:
+                break
+        if achieved:
+            return strategy
+    return None
 
 
 def evaluate_naive(ets: EpistemicTransitionSystem, h: History, f: Formula,
@@ -277,28 +278,25 @@ def evaluate_naive(ets: EpistemicTransitionSystem, h: History, f: Formula,
     """Same contract as :func:`evaluate`, by plain enumeration; the oracle."""
     used = _check_preconditions(ets, h, f, horizon)
     flag: list[str] = []
-    value = _naive_sat(ets, h, f, used, flag)
+    if isinstance(f, How):
+        strategy = _naive_strategy(ets, h, f.coalition, f.sub, used, flag)
+        value = strategy is not None
+    else:
+        strategy, value = None, _naive_sat(ets, h, f, used, flag)
     counterexample = None
     if isinstance(f, (Know, How)) and not f.coalition and not value:
         start = 1 if isinstance(f, How) else 0
-        for n in range(start, used + 1):
-            for g in histories_of_length(ets, n):
-                if not _naive_sat(ets, g, f.sub, used, flag):
-                    counterexample = g
-                    break
-            if counterexample is not None:
-                break
+        counterexample = _naive_refutation(ets, f.sub, start, used, flag)
     return Verdict(value, bounded=bool(flag), horizon_used=used,
-                   counterexample=counterexample)
+                   counterexample=counterexample, strategy=strategy)
 
 
 def witness(ets: EpistemicTransitionSystem, h: History, coalition: Coalition,
-            body: Formula, horizon: int | None = None) -> Witness | None:
-    """First strategy profile (agents and choices in sorted order) that
-    makes the know-how clause succeed, or None when none does."""
-    used = _check_preconditions(ets, h, How(coalition, body), horizon)
-    found = _Evaluator(ets, used).strategy(h, coalition, body)
-    return None if found is None else Witness(found)
+            body: Formula, horizon: int | None = None) -> Verdict:
+    """The verdict on ``H{coalition} body`` at ``h``; its ``strategy`` is
+    the witness profile, or None when the coalition has no way to force the
+    body."""
+    return evaluate(ets, h, How(coalition, body), horizon)
 
 
 def check_claim(ets: EpistemicTransitionSystem, h: History, f: Formula,

@@ -17,7 +17,7 @@ import sys
 from .checker import HorizonError, evaluate, witness
 from .formula import FormulaSyntaxError, h_depth, parse, uses_empty_coalition, How
 from .fixtures import FIXTURES, load_fixture, run_claims
-from .harness import GenParams, lemma_suite, soundness_suite
+from .harness import GenParams, GenParamsError, lemma_suite, soundness_suite
 from .proofkit import OpaqueLimitError, ProofFormatError, parse_derivation, verify
 from .system import (
     InvalidHistoryError, ModelFormatError, check_regular, load_system,
@@ -37,7 +37,8 @@ def _cmd_check(args) -> int:
     horizon = args.horizon
     if horizon is None and uses_empty_coalition(f):
         horizon = h.length + h_depth(f) + 2  # never silently bounded; see report
-    verdict = evaluate(ets, h, f, horizon)
+    verdict = (witness(ets, h, f.coalition, f.sub, horizon) if isinstance(f, How)
+               else evaluate(ets, h, f, horizon))
     print(f"formula: {f}")
     print(f"history: {h}")
     print(f"verdict: {verdict.value}")
@@ -49,11 +50,11 @@ def _cmd_check(args) -> int:
     if verdict.counterexample is not None:
         print(f"counterexample: {verdict.counterexample}")
     if isinstance(f, How):
-        found = witness(ets, h, f.coalition, f.sub, horizon)
+        found = verdict.strategy
         if found is None:
             print("witness: none")
         else:
-            print(f"witness: {found.profile if found.profile.votes else '(empty profile)'}")
+            print(f"witness: {found if found.votes else '(empty profile)'}")
     return 0 if verdict.value else 1
 
 
@@ -160,8 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormulaSyntaxError, ModelFormatError, InvalidHistoryError,
-            ProofFormatError, OpaqueLimitError, HorizonError, OSError) as e:
+    except (FormulaSyntaxError, ModelFormatError, InvalidHistoryError, ProofFormatError,
+            OpaqueLimitError, HorizonError, GenParamsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,10 @@ class FormulaSyntaxError(ValueError):
         super().__init__(message)
 
 
+class NestingError(ValueError):
+    """A formula built in code nests deeper than ``MAX_NESTING`` levels."""
+
+
 class Formula:
     """Base class for formula nodes; trees are immutable and compare structurally."""
 
@@ -199,7 +203,8 @@ _UNARY_START = (_BANG, _IDENT, _TRUE, _FALSE, _LPAREN)
 #: the printer and the checker recurse per level, the checker up to five
 #: frames per ``H{..}``, so a formula of any shape at this bound still runs
 #: under Python's default recursion limit of 1000.  Deeper text fails as a
-#: syntax error instead of a RecursionError.
+#: syntax error instead of a RecursionError, and the checker refuses deeper
+#: formulas built in code (see :func:`nesting`).
 MAX_NESTING = 150
 
 
@@ -349,6 +354,39 @@ def h_depth(f: Formula) -> int:
     if isinstance(f, How):
         return 1 + h_depth(f.sub)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def nesting(f: Formula) -> int:
+    """Deepest operand nesting of ``format_formula(f)``, counted as ``parse``
+    counts it.
+
+    The printed text has the fewest parentheses that parse back to ``f``, so
+    a formula that ``parse`` returned never measures above ``MAX_NESTING``.
+    Works bottom-up with an explicit stack, once per node object, so it also
+    measures formulas far too deep for the recursive functions of this
+    module, and a shared subformula is measured once.
+    """
+    height: dict[int, int] = {}  # id(node) -> nesting of the node's own text
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g == TOP or isinstance(g, (Falsum, Atom)):  # ``!false`` prints as ``true``
+            operands = ()
+        elif isinstance(g, Implies):
+            # a left implication needs parentheses, a right one does not
+            operands = ((g.left, isinstance(g.left, Implies)), (g.right, 1))
+        elif isinstance(g, (Not, Know, How)):
+            operands = ((g.sub, 1 + isinstance(g.sub, Implies)),)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        todo = [sub for sub, _ in operands if id(sub) not in height]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        height[id(g)] = max((step + height[id(sub)] for sub, step in operands),
+                            default=0)
+    return height[id(f)]
 
 
 def uses_empty_coalition(f: Formula) -> bool:

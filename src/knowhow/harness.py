@@ -20,11 +20,15 @@ from .formula import (
     h_depth, uses_empty_coalition,
 )
 from .system import (
-    EpistemicTransitionSystem, History, Profile,
+    EpistemicTransitionSystem, History, Profile, check_profile_count,
     histories_of_length, hist_indist, profile_agrees, state_indist,
 )
-from .checker import evaluate, evaluate_naive
+from .checker import Verdict, evaluate, evaluate_naive
 from .proofkit import AxiomName, match_axiom
+
+
+class GenParamsError(ValueError):
+    """Generator parameters that describe no system or no history."""
 
 
 @dataclass
@@ -42,12 +46,15 @@ class GenParams:
 
     def __post_init__(self):
         if self.num_states < 1 or self.num_agents < 1 or self.num_choices < 1:
-            raise ValueError("need at least one state, agent, and choice")
+            raise GenParamsError("need at least one state, agent, and choice")
+        if self.history_depth < 0 or self.formula_depth < 0:
+            raise GenParamsError("history and formula depth must be non-negative")
         if self.branching < 1.0:
-            raise ValueError("branching below 1 would break regularity")
+            raise GenParamsError("branching below 1 would break regularity")
         if self.horizon < self.history_depth + self.formula_depth:
-            raise ValueError(
+            raise GenParamsError(
                 "horizon must cover history depth plus formula depth")
+        check_profile_count(self.num_agents, self.num_choices, GenParamsError)
 
 
 def _rng(params: GenParams, *salt) -> random.Random:
@@ -232,6 +239,19 @@ class SoundnessReport:
         return "\n".join(self.to_lines())
 
 
+def _evaluate_confirmed(ets: EpistemicTransitionSystem, h: History,
+                        f: Formula, horizon: int | None = None) -> Verdict:
+    """``evaluate``, with a False verdict confirmed by the naive oracle.
+
+    A checker bug can then neither pass for a broken law nor hide one: a
+    False verdict the oracle does not share raises.
+    """
+    verdict = evaluate(ets, h, f, horizon)
+    if not verdict.value and evaluate_naive(ets, h, f, horizon).value:
+        raise AssertionError(f"evaluate and evaluate_naive disagree on {f} at {h}")
+    return verdict
+
+
 def check_instance(ets: EpistemicTransitionSystem, schema: AxiomName,
                    instance: Formula, h: History, horizon: int,
                    system_seed: int = 0) -> InstanceCheck:
@@ -246,15 +266,9 @@ def check_instance(ets: EpistemicTransitionSystem, schema: AxiomName,
     if uses_empty_coalition(instance):
         # one shared horizon covers every empty-coalition clause inside
         effective = max(horizon, h.length + h_depth(instance))
-    verdict = evaluate(ets, h, instance, effective)
-    if not verdict.value:
-        confirm = evaluate_naive(ets, h, instance, effective)
-        if not confirm.value:
-            return InstanceCheck(system_seed, schema, instance, h, "violation",
-                                 verdict.bounded)
-        raise AssertionError(
-            f"evaluate and evaluate_naive disagree on {instance} at {h}")
-    return InstanceCheck(system_seed, schema, instance, h, "ok", verdict.bounded)
+    verdict = _evaluate_confirmed(ets, h, instance, effective)
+    status = "ok" if verdict.value else "violation"
+    return InstanceCheck(system_seed, schema, instance, h, status, verdict.bounded)
 
 
 def soundness_suite(params: GenParams, num_systems: int = 10,
@@ -514,8 +528,5 @@ def _check_semantic_laws(ets, rng, params, report, label):
                                  Implies(How(d, x), How(c | d, y)))))
         for name, law in laws:
             report.property_checks += 1
-            verdict = evaluate(ets, h, law)
-            if not verdict.value:
-                confirm = evaluate_naive(ets, h, law)
-                if not confirm.value:
-                    report.failures.append(f"{label}: {name} fails: {law} at ({h})")
+            if not _evaluate_confirmed(ets, h, law).value:
+                report.failures.append(f"{label}: {name} fails: {law} at ({h})")

@@ -43,6 +43,29 @@ class InvalidHistoryError(ValueError):
     """History literal or History value inconsistent with the system."""
 
 
+#: Most complete profiles (|choices|^|agents|) a system may have.  Every
+#: system lists them all: the regularity check pairs each with every state,
+#: and a wildcard transition expands into one triple per matching profile,
+#: so time and memory grow by a factor |choices| per agent.  On a 2-vCPU
+#: Xeon VM with Python 3.11, validating a one-state wildcard model took
+#: 4.1 s and 209 MB with 16 two-choice agents, and 0.12 s and 30 MB at this
+#: cap (12 two-choice agents, or 6 four-choice ones).
+MAX_PROFILES = 4096
+
+
+def check_profile_count(num_agents: int, num_choices: int,
+                        error: type[ValueError] = ModelFormatError) -> None:
+    """Raise ``error`` when |choices|^|agents| exceeds ``MAX_PROFILES``.
+
+    Decided before any profile is listed, and without computing a power
+    that could itself be huge.
+    """
+    capped = num_choices ** min(num_agents, MAX_PROFILES.bit_length())
+    if capped > MAX_PROFILES:
+        raise error(f"{num_choices} choices for {num_agents} agents make more "
+                    f"than {MAX_PROFILES} complete profiles")
+
+
 def _cached_hash(self):
     return self._h
 
@@ -196,6 +219,7 @@ class EpistemicTransitionSystem:
             raise ModelFormatError("system needs at least one state")
         if not self.choices:
             raise ModelFormatError("system needs at least one choice")
+        check_profile_count(len(self.agents), len(self.choices))
 
         self._block: dict[str, dict[str, int]] = {}
         self.indist: dict[str, tuple[frozenset[str], ...]] = {}
@@ -567,6 +591,7 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
     agents = decls["agents"]
     choices = decls["choices"]
     states = decls["states"]
+    check_profile_count(len(agents), len(choices))
     state_set, agent_set, choice_set = set(states), set(agents), set(choices)
 
     indist_blocks: dict[str, list[list[str]]] = {a: [] for a in agents}

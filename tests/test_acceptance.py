@@ -206,12 +206,11 @@ def test_criterion_7_witness_soundness():
             body = rng.choice(bodies)
             h = rng.choice(pool)
             verdict = evaluate(ets, h, How(coalition, body))
-            found = witness(ets, h, coalition, body)
+            found = witness(ets, h, coalition, body).strategy
             if verdict.value:
                 true_verdicts += 1
                 assert found is not None, (h, coalition, body)
-                assert _replay_know_how_clause(ets, h, coalition, found.profile,
-                                               body)
+                assert _replay_know_how_clause(ets, h, coalition, found, body)
             else:
                 false_verdicts += 1
                 assert found is None

@@ -7,7 +7,10 @@ from knowhow.checker import (
     HorizonError, RegularityError, Verdict, check_claim, evaluate,
     evaluate_naive, witness,
 )
-from knowhow.formula import How, Not, h_depth, parse, uses_empty_coalition
+from knowhow.formula import (
+    MAX_NESTING, Atom, How, Implies, NestingError, Not, h_depth, parse,
+    uses_empty_coalition,
+)
 from knowhow.harness import GenParams, gen_formula, gen_system
 from knowhow.system import (
     InvalidHistoryError, Profile, History, load_system, parse_history,
@@ -59,10 +62,10 @@ def test_no_coalition_achieves_falsum(t1, t2):
 
 def test_witness_examples(t1, t2):
     w = witness(t1, parse_history(t1, "w0 ; a=1 ; w1"), A, parse("p"))
-    assert w is not None and w.profile == Profile.of({"a": "0"})
-    assert witness(t1, parse_history(t1, "w1"), A, parse("p")) is None
+    assert w.strategy == Profile.of({"a": "0"})
+    assert witness(t1, parse_history(t1, "w1"), A, parse("p")).strategy is None
     w = witness(t2, parse_history(t2, "w0"), AB, parse("p"))
-    assert w is not None and w.profile == Profile.of({"a": "1", "b": "1"})
+    assert w.strategy == Profile.of({"a": "1", "b": "1"})
 
 
 def test_witness_agrees_with_evaluate(t1):
@@ -75,8 +78,10 @@ def test_witness_agrees_with_evaluate(t1):
                                   "!K{a} H{} p"):
                     body = parse(body_text)
                     has = evaluate(t1, h, How(coalition, body), horizon=3).value
-                    found = witness(t1, h, coalition, body, horizon=3)
+                    found = witness(t1, h, coalition, body, horizon=3).strategy
                     assert (found is not None) is has, (h, coalition, body)
+                    naive = evaluate_naive(t1, h, How(coalition, body), horizon=3)
+                    assert naive.strategy == found, (h, coalition, body)
                     seen.add((coalition, has))
     assert len(seen) == 4  # both verdicts occur for both coalitions
 
@@ -84,8 +89,38 @@ def test_witness_agrees_with_evaluate(t1):
 def test_empty_coalition_witness_is_the_empty_profile(t1):
     h = parse_history(t1, "w2")
     got = witness(t1, h, frozenset(), parse("p -> p"), horizon=2)
-    assert got is not None and got.profile == Profile(())
-    assert witness(t1, h, frozenset(), parse("p"), horizon=2) is None
+    assert got.strategy == Profile(())
+    assert witness(t1, h, frozenset(), parse("p"), horizon=2).strategy is None
+
+
+CHAINS = {
+    "negation": Not,
+    "implication": lambda f: Implies(Atom("p"), f),
+}
+
+
+def _chain(shape: str, depth: int):
+    f = Atom("p")
+    for _ in range(depth):
+        f = CHAINS[shape](f)
+    return f
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_formulas_built_past_the_nesting_limit_are_refused(t1, shape):
+    h = parse_history(t1, "w0")
+    deep = _chain(shape, 2000)
+    for call in (lambda: evaluate(t1, h, deep), lambda: evaluate_naive(t1, h, deep),
+                 lambda: witness(t1, h, A, deep)):
+        with pytest.raises(NestingError, match=f"deeper than {MAX_NESTING} levels"):
+            call()
+    with pytest.raises(NestingError):
+        evaluate(t1, h, _chain(shape, MAX_NESTING + 1))
+    at_limit = _chain(shape, MAX_NESTING)
+    assert evaluate(t1, h, at_limit) == evaluate_naive(t1, h, at_limit)
+    # "H{a} " opens one level, and "(" one more before an implication
+    below = _chain(shape, MAX_NESTING - (2 if shape == "implication" else 1))
+    assert witness(t1, h, A, below) == evaluate_naive(t1, h, How(A, below))
 
 
 def test_horizon_is_required_and_floor_checked(t1):

@@ -1,12 +1,14 @@
 import json
+import time
 
 import pytest
 
-from knowhow import system
+from knowhow import checker, system
 from knowhow.cli import main
 from knowhow.fixtures import fixture_text, proof_text
 from knowhow.formula import MAX_NESTING
 from knowhow.proofkit import MAX_OPAQUE
+from knowhow.system import MAX_PROFILES
 
 
 @pytest.fixture
@@ -24,6 +26,31 @@ def test_check_true_with_witness(t1_path, capsys):
     assert "verdict: True" in out
     assert "witness: a=0" in out
     assert "horizon: exact" in out
+
+
+@pytest.mark.parametrize("formula,verdict,witness", [
+    ("H{a} p", 0, "a=0"), ("K{a} p", 1, None),
+    ("H{} (p -> p)", 0, "(empty profile)")])
+def test_check_evaluates_each_query_once(t1_path, capsys, monkeypatch,
+                                         formula, verdict, witness):
+    # an H verdict carries its witness, so no second search is needed
+    built = []
+    init = checker._Evaluator.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(checker._Evaluator, "__init__", counting)
+    code = main(["check", "--system", t1_path,
+                 "--history", "w0 ; a=1 ; w1", "--formula", formula])
+    out = capsys.readouterr().out
+    assert code == verdict
+    assert len(built) == 1
+    if witness is None:
+        assert "witness:" not in out
+    else:
+        assert f"witness: {witness}\n" in out
 
 
 def test_check_false_exit_code(t1_path, capsys):
@@ -176,6 +203,46 @@ def test_fuzz_json_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["soundness"]["violations"] == []
     assert payload["lemmas"]["failures"] == []
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--states", "0"), ("--agents", "0"), ("--choices", "0"), ("--depth", "-1"),
+    ("--formula-depth", "-1"), ("--agents", "30")])
+def test_fuzz_bad_parameters_are_usage_errors(capsys, flag, value):
+    code = main(["fuzz", "--systems", "1", "--instances", "1", flag, value])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
+def _wildcard_model(agents: int) -> str:
+    names = " ".join(f"a{i}" for i in range(agents))
+    return f"agents: {names}\nchoices: 0 1\nstates: w0\ntrans w0 [] w0\nvaluation p: w0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["check", "--history", "w0", "--formula", "H{a0} p"]])
+def test_a_model_over_the_profile_cap_fails_fast(tmp_path, capsys, command):
+    path = tmp_path / "wide.ets"
+    path.write_text(_wildcard_model(26))
+    start = time.perf_counter()
+    code = main([command[0], "--system", str(path), *command[1:]])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"2 choices for 26 agents make more than {MAX_PROFILES}" in err
+
+
+def test_a_model_at_the_profile_cap_loads(tmp_path, capsys):
+    assert 2 ** 12 == MAX_PROFILES
+    path = tmp_path / "wide.ets"
+    path.write_text(_wildcard_model(12))
+    assert main(["validate", "--system", str(path)]) == 0
+    assert f"transitions: {MAX_PROFILES}" in capsys.readouterr().out
+    assert main(["check", "--system", str(path), "--history", "w0",
+                 "--formula", "H{a0,a1} p"]) == 0
+    assert "witness: a0=0,a1=0\n" in capsys.readouterr().out
 
 
 def test_usage_error_exits_2():

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from knowhow.formula import (
     Atom, Falsum, FormulaSyntaxError, How, Implies, Know, MAX_NESTING, Not, TOP,
-    format_formula, h_depth, parse, subformulas, uses_empty_coalition,
+    format_formula, h_depth, nesting, parse, subformulas, uses_empty_coalition,
 )
 
 a = frozenset({"a"})
@@ -95,6 +95,9 @@ NESTED = {
     "how": lambda d: "H{a} " * d + "p",
     "parentheses": lambda d: "(" * d + "p" + ")" * d,
     "implication": lambda d: " -> ".join(["p"] * (d + 1)),
+    # "true" is printed for "!false", and a left implication in parentheses
+    "negated_true": lambda d: "!" * d + "true -> p",
+    "negated_implication": lambda d: "!" * (d - 2) + "(p -> q) -> r",
 }
 
 
@@ -102,6 +105,7 @@ NESTED = {
 def test_nesting_at_the_limit_parses_and_prints(shape):
     f = parse(NESTED[shape](MAX_NESTING))
     assert parse(format_formula(f)) == f
+    assert nesting(f) <= MAX_NESTING
 
 
 @pytest.mark.parametrize("shape", sorted(NESTED))
@@ -158,6 +162,27 @@ def formulas(depth=4):
 @given(formulas())
 def test_print_parse_round_trip(f):
     assert parse(format_formula(f)) == f
+
+
+@given(formulas())
+def test_nesting_is_the_depth_that_parse_counts(f):
+    # behind implications up to the limit the printed text parses, and one
+    # implication more is a syntax error
+    for _ in range(MAX_NESTING - nesting(f)):
+        f = Implies(Atom("p"), f)
+    assert nesting(f) == MAX_NESTING
+    assert parse(format_formula(f)) == f
+    with pytest.raises(FormulaSyntaxError):
+        parse(format_formula(Implies(Atom("p"), f)))
+
+
+def test_nesting_measures_formulas_too_deep_to_print():
+    # each layer prints as "!(f -> f)": "!", "(" and the right operand;
+    # the shared operand is measured once, not 2**5000 times
+    f = Atom("p")
+    for _ in range(5000):
+        f = Not(Implies(f, f))
+    assert nesting(f) == 3 * 5000
 
 
 @given(formulas())

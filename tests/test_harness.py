@@ -2,23 +2,30 @@ from dataclasses import replace
 
 import pytest
 
-from knowhow.checker import evaluate
+from knowhow import harness
+from knowhow.checker import Verdict, evaluate
 from knowhow.formula import Atom, Falsum, h_depth, parse, uses_empty_coalition
 from knowhow.harness import (
-    GenParams, check_equivalence, check_instance, gen_formula, gen_system,
-    instantiate_axiom, lemma_suite, soundness_suite, _rng,
+    GenParams, GenParamsError, check_equivalence, check_instance, gen_formula,
+    gen_system, instantiate_axiom, lemma_suite, soundness_suite, _rng,
 )
 from knowhow.proofkit import AxiomName, match_axiom
-from knowhow.system import check_regular, hist_indist, histories_of_length
+from knowhow.system import (
+    MAX_PROFILES, check_regular, hist_indist, histories_of_length,
+)
 
 
 def test_genparams_invariants():
-    with pytest.raises(ValueError):
-        GenParams(num_choices=0)
-    with pytest.raises(ValueError):
-        GenParams(history_depth=4, formula_depth=4, horizon=5)
-    with pytest.raises(ValueError):
-        GenParams(branching=0.5)
+    for bad in ({"num_states": 0}, {"num_agents": 0}, {"num_choices": 0},
+                {"history_depth": -1}, {"formula_depth": -1},
+                {"history_depth": 4, "formula_depth": 4, "horizon": 5},
+                {"branching": 0.5}, {"num_agents": 13},
+                {"num_agents": 1, "num_choices": MAX_PROFILES + 1}):
+        with pytest.raises(GenParamsError):
+            GenParams(**bad)
+    # exactly at the profile cap
+    assert GenParams(num_agents=12).num_agents == 12
+    assert GenParams(num_agents=1, num_choices=MAX_PROFILES).num_choices == MAX_PROFILES
 
 
 def test_gen_system_is_deterministic_and_regular():
@@ -109,6 +116,15 @@ def test_lemma_suite_clean_on_fixture_and_random_systems(t1):
     assert report.systems == 3
     assert report.relation_checks > 1000
     assert report.property_checks > 0
+
+
+def test_lemma_suite_raises_when_evaluate_refutes_a_valid_law(monkeypatch):
+    # a False verdict the naive oracle does not share is a checker bug, not
+    # a failing law, and must not vanish from the report
+    monkeypatch.setattr(harness, "evaluate",
+                        lambda ets, h, f, horizon=None: Verdict(False))
+    with pytest.raises(AssertionError, match="disagree"):
+        lemma_suite(GenParams(seed=1), num_systems=1)
 
 
 def test_empty_coalition_relates_histories_of_different_lengths(t1):

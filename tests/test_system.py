@@ -4,9 +4,10 @@ import pytest
 
 from knowhow.fixtures import fixture_text
 from knowhow.system import (
-    History, InvalidHistoryError, ModelFormatError, Profile, check_regular,
-    extensions, hist_indist, histories_of_length, indist_class, load_system,
-    parse_history, profile_agrees, state_indist,
+    MAX_PROFILES, EpistemicTransitionSystem, History, InvalidHistoryError,
+    ModelFormatError, Profile, check_profile_count, check_regular, extensions,
+    hist_indist, histories_of_length, indist_class, load_system, parse_history,
+    profile_agrees, state_indist,
 )
 
 A = frozenset({"a"})
@@ -15,6 +16,18 @@ AB = frozenset({"a", "b"})
 
 def h(ets, literal):
     return parse_history(ets, literal)
+
+
+def test_profile_count_is_capped_without_computing_huge_powers():
+    check_profile_count(12, 2)
+    check_profile_count(1, MAX_PROFILES)
+    check_profile_count(10**9, 1)
+    for agents, choices in ((13, 2), (1, MAX_PROFILES + 1), (10**9, 2)):
+        with pytest.raises(ModelFormatError, match=f"more than {MAX_PROFILES}"):
+            check_profile_count(agents, choices)
+    with pytest.raises(ModelFormatError, match=f"more than {MAX_PROFILES}"):
+        EpistemicTransitionSystem([f"a{i}" for i in range(40)], ["w0"], ["0", "1"],
+                                  {}, [], {})
 
 
 def test_t1_loads_with_expected_shape(t1):
