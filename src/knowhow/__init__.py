@@ -10,7 +10,7 @@ from .formula import (
 from .system import (
     EpistemicTransitionSystem, History, InvalidHistoryError, ModelFormatError,
     Profile, check_regular, extensions, hist_indist, histories_of_length,
-    indist_class, load_system, parse_history, profile_agrees, state_indist,
+    load_system, parse_history, profile_agrees, state_indist,
 )
 from .checker import (
     ClaimResult, HorizonError, RegularityError, Verdict, check_claim,
@@ -36,7 +36,7 @@ __all__ = [
     "derive_k_superdistributivity_instance",
     "derive_superdistributivity_instance", "evaluate", "evaluate_naive",
     "extensions", "format_formula", "gen_formula", "gen_system", "h_depth",
-    "hist_indist", "histories_of_length", "indist_class", "is_tautology",
+    "hist_indist", "histories_of_length", "is_tautology",
     "lemma_suite", "load_fixture", "load_system", "match_axiom", "parse",
     "parse_derivation", "parse_history", "profile_agrees", "run_claims",
     "soundness_suite", "state_indist", "uses_empty_coalition", "verify",

@@ -11,6 +11,7 @@ Exit status: 0 for True/ok/clean, 1 for False/failing line/violations,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -125,11 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True, help="formula text")
     p.add_argument("--horizon", type=int, default=None,
                    help="history length cap for empty-coalition modalities")
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("prove", help="verify a derivation file")
     p.add_argument("proof", help="proof file path")
-    p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("fuzz", help="run the random property suites")
     p.add_argument("--seed", type=int, default=0)
@@ -144,23 +143,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=6)
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
-    p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("examples", help="replay a bundled claim list")
     p.add_argument("fixture", choices=sorted(FIXTURES))
-    p.set_defaults(func=_cmd_examples)
 
     p = sub.add_parser("validate", help="well-formedness and regularity checks")
     p.add_argument("--system", required=True, help="model file path")
-    p.set_defaults(func=_cmd_validate)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building it costs more than most checks
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # named here, not in the shared parser, so each call runs the handler
+    # the module holds at that moment
+    handlers = {"check": _cmd_check, "prove": _cmd_prove, "fuzz": _cmd_fuzz,
+                "examples": _cmd_examples, "validate": _cmd_validate}
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except (FormulaSyntaxError, ModelFormatError, InvalidHistoryError, ProofFormatError,
             OpaqueLimitError, HorizonError, GenParamsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

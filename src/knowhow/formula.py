@@ -341,19 +341,50 @@ def _fmt(f: Formula, top: bool) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _operands(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (Falsum, Atom)):
+        return ()
+    if isinstance(f, Implies):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Know, How)):
+        return (f.sub,)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _fold(f: Formula, combine):
+    """``combine(g, values)`` for every node object ``g`` of ``f``, where
+    ``values`` are the results for ``g``'s operands; returns ``f``'s result.
+
+    Works bottom-up with an explicit stack, once per node object, so it also
+    folds formulas far too deep for the recursive functions of this module,
+    and a shared subformula costs once.
+    """
+    done: dict[int, object] = {}  # id(node) -> the node's result
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        operands = _operands(g)
+        todo = [sub for sub in operands if id(sub) not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        done[id(g)] = combine(g, [done[id(sub)] for sub in operands])
+    return done[id(f)]
+
+
 def h_depth(f: Formula) -> int:
     """Maximum nesting of know-how operators along any root-to-leaf path."""
-    if isinstance(f, (Falsum, Atom)):
+    return _fold(f, lambda g, depths: isinstance(g, How) + max(depths, default=0))
+
+
+def _text_nesting(g: Formula, heights: list[int]) -> int:
+    if g == TOP or not heights:  # ``!false`` prints as ``true``
         return 0
-    if isinstance(f, Not):
-        return h_depth(f.sub)
-    if isinstance(f, Implies):
-        return max(h_depth(f.left), h_depth(f.right))
-    if isinstance(f, Know):
-        return h_depth(f.sub)
-    if isinstance(f, How):
-        return 1 + h_depth(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(g, Implies):
+        # a left implication needs parentheses, a right one does not
+        return max(isinstance(g.left, Implies) + heights[0], 1 + heights[1])
+    return 1 + isinstance(g.sub, Implies) + heights[0]
 
 
 def nesting(f: Formula) -> int:
@@ -362,53 +393,20 @@ def nesting(f: Formula) -> int:
 
     The printed text has the fewest parentheses that parse back to ``f``, so
     a formula that ``parse`` returned never measures above ``MAX_NESTING``.
-    Works bottom-up with an explicit stack, once per node object, so it also
-    measures formulas far too deep for the recursive functions of this
-    module, and a shared subformula is measured once.
+    Like :func:`h_depth` and :func:`uses_empty_coalition` it visits each
+    node object once, without recursion.
     """
-    height: dict[int, int] = {}  # id(node) -> nesting of the node's own text
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g == TOP or isinstance(g, (Falsum, Atom)):  # ``!false`` prints as ``true``
-            operands = ()
-        elif isinstance(g, Implies):
-            # a left implication needs parentheses, a right one does not
-            operands = ((g.left, isinstance(g.left, Implies)), (g.right, 1))
-        elif isinstance(g, (Not, Know, How)):
-            operands = ((g.sub, 1 + isinstance(g.sub, Implies)),)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        todo = [sub for sub, _ in operands if id(sub) not in height]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        height[id(g)] = max((step + height[id(sub)] for sub, step in operands),
-                            default=0)
-    return height[id(f)]
+    return _fold(f, _text_nesting)
 
 
 def uses_empty_coalition(f: Formula) -> bool:
     """True iff some K or H node in ``f`` carries the empty coalition."""
-    if isinstance(f, (Falsum, Atom)):
-        return False
-    if isinstance(f, Not):
-        return uses_empty_coalition(f.sub)
-    if isinstance(f, Implies):
-        return uses_empty_coalition(f.left) or uses_empty_coalition(f.right)
-    if isinstance(f, (Know, How)):
-        return not f.coalition or uses_empty_coalition(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    return _fold(f, lambda g, used: any(used) or (
+        isinstance(g, (Know, How)) and not g.coalition))
 
 
 def subformulas(f: Formula):
     """Yield every node of ``f`` (including ``f`` itself), parents first."""
     yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.sub)
-    elif isinstance(f, Implies):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Know, How)):
-        yield from subformulas(f.sub)
+    for sub in _operands(f):
+        yield from subformulas(sub)

@@ -7,15 +7,12 @@ valuation of proposition tokens.  Histories are mechanism-consistent
 alternating sequences of states and complete profiles; all queries here are
 pure, and no value changes once built.
 
-Each system grows one history tree: a ``History`` node points at its prefix,
-:func:`extensions` builds a node's children once and hands the same nodes to
-every later caller, :func:`histories_of_length` builds whole levels from
-those children, and :func:`parse_history` finds its literal by walking down
-from a root.  Per nonempty coalition the system also keeps the
-indistinguishability classes it has been asked for, built on demand from the
-class of the prefix (see :func:`indist_class`).  The relations
+A ``History`` keeps its states and profiles as plain tuples and a hash
+folded step by step, so :meth:`History.extend` costs O(1) hashing.
+:func:`histories_of_length` builds whole levels, once per system, and
+:func:`parse_history` walks down from a level-0 root.  The relations
 ``state_indist``, ``profile_agrees`` and ``hist_indist`` are the plain
-pairwise definitions and never consult the classes.
+pairwise definitions; the checker never lists a class.
 """
 from __future__ import annotations
 
@@ -120,17 +117,14 @@ def profile_agrees(s1: Profile, s2: Profile, coalition: Coalition) -> bool:
 class History:
     """States ``w_0..w_n`` interleaved with the profiles ``s_1..s_n`` that produced them.
 
-    A node of a history tree.  ``extend`` makes a child that points back at
-    this node and folds its hash from this node's hash, so a new history
-    costs O(1) hashing; ``History(states, profiles)`` folds the same hash
-    step by step, so it equals and hashes like the tree's node.  Every node
-    keeps the whole ``states`` and ``profiles`` tuples as plain attributes,
-    which the oracles read directly.  Nodes are never changed after they are
-    built, except that a history built from tuples builds its ``prefix`` on
-    first use.
+    ``extend`` folds the child's hash from this history's hash, so a new
+    history costs O(1) hashing; ``History(states, profiles)`` folds the same
+    hash step by step, so the two equal and hash alike.  The ``states`` and
+    ``profiles`` tuples are plain attributes, which the oracles read
+    directly.  Histories are never changed after they are built.
     """
 
-    __slots__ = ("states", "profiles", "_prefix", "_h")
+    __slots__ = ("states", "profiles", "_h")
 
     def __init__(self, states: tuple[str, ...], profiles: tuple[Profile, ...]):
         states, profiles = tuple(states), tuple(profiles)
@@ -143,7 +137,6 @@ class History:
             h = hash((h, hash(profile), state))
         self.states = states
         self.profiles = profiles
-        self._prefix = None
         self._h = h
 
     @property
@@ -154,18 +147,10 @@ class History:
     def length(self) -> int:
         return len(self.profiles)
 
-    @property
-    def prefix(self) -> "History | None":
-        """The history one step shorter, or None at length 0."""
-        if self._prefix is None and self.profiles:
-            self._prefix = History(self.states[:-1], self.profiles[:-1])
-        return self._prefix
-
     def extend(self, profile: Profile, state: str) -> "History":
         child = object.__new__(History)
         child.states = self.states + (state,)
         child.profiles = self.profiles + (profile,)
-        child._prefix = self
         child._h = hash((self._h, profile._h, state))
         return child
 
@@ -281,10 +266,7 @@ class EpistemicTransitionSystem:
             self._succ[w] = tuple(sorted(out))
         self._complete_profiles = self.profiles_over(self.agents)
         self._levels: list[tuple[History, ...]] = []
-        self._children: dict[History, tuple[History, ...]] = {}
-        self._classes: dict[Coalition, dict[History, tuple[History, ...]]] = {}
         self._votes: dict[Coalition, dict[Profile, tuple[tuple[str, str], ...]]] = {}
-        self._member_blocks: dict[Coalition, dict[str, tuple[int, ...]]] = {}
         self._regular: bool | None = None
 
     @property
@@ -391,16 +373,8 @@ def validate_history(ets: EpistemicTransitionSystem, h: History) -> None:
 
 
 def extensions(ets: EpistemicTransitionSystem, h: History) -> tuple[History, ...]:
-    """All one-step extensions of ``h`` permitted by the mechanism.
-
-    In successor order, and built once per history: every later call returns
-    the same nodes, so the system's histories form one tree.
-    """
-    children = ets._children.get(h)
-    if children is None:
-        children = ets._children[h] = tuple(
-            h.extend(profile, w) for profile, w in ets._succ[h.head])
-    return children
+    """All one-step extensions of ``h`` permitted by the mechanism, in successor order."""
+    return tuple(h.extend(profile, w) for profile, w in ets._succ[h.head])
 
 
 def histories_of_length(ets: EpistemicTransitionSystem, n: int) -> tuple[History, ...]:
@@ -415,78 +389,8 @@ def histories_of_length(ets: EpistemicTransitionSystem, n: int) -> tuple[History
     return levels[n]
 
 
-def indist_class(ets: EpistemicTransitionSystem, h: History,
-                 coalition: Coalition) -> tuple[History, ...]:
-    """Every history of ``ets`` the coalition cannot distinguish from ``h``.
-
-    Only defined for nonempty coalitions, whose classes are confined to
-    histories of equal length; the empty coalition relates histories of all
-    lengths and needs horizon-bounded enumeration instead.
-
-    Classes are built on demand.  Under perfect recall two histories of
-    length n + 1 are indistinguishable iff their prefixes are, the members
-    voted alike in the last profile, and the heads look alike to every
-    member (the decomposition lemma).  So the class of ``g.extend(s, w)``
-    lies among the extensions of the class of ``g``, and partitioning those
-    extensions by (the members' votes in ``s``, the members' blocks of
-    ``w``) gives every class that refines it, with nothing else to look at.
-    On a miss this walks up the prefixes of ``h`` to the nearest one whose
-    class is known (at length 0, the states grouped by the members'
-    blocks) and refines one prefix class per step back down.  Only the
-    classes on that path, and their siblings, get built.
-    """
-    if not coalition:
-        raise ValueError("indist_class needs a nonempty coalition")
-    classes = ets._classes.get(coalition)
-    if classes is None:
-        classes = ets._classes[coalition] = {}
-    cls = classes.get(h)
-    if cls is None:
-        path = []
-        g = h
-        while g not in classes and g.profiles:
-            path.append(g)
-            g = g.prefix
-        if g not in classes:
-            _refine(ets, coalition, None)
-        for g in reversed(path):
-            _refine(ets, coalition, classes[g.prefix])
-        cls = classes[h]
-    return cls
-
-
-def _refine(ets: EpistemicTransitionSystem, coalition: Coalition,
-            prefix_class: tuple[History, ...] | None) -> None:
-    """Partition the extensions of ``prefix_class`` into coalition classes.
-
-    ``None`` stands for the length-0 histories, grouped by the members'
-    blocks of their one state.  Members stay in level order, and every
-    member of a class shares one tuple.
-    """
-    blocks = ets._member_blocks.get(coalition)
-    if blocks is None:
-        members = sorted(coalition)
-        blocks = ets._member_blocks[coalition] = {
-            w: tuple(ets._block[a][w] for a in members) for w in ets.states}
-    groups: dict[tuple, list[History]] = {}
-    if prefix_class is None:
-        for g in histories_of_length(ets, 0):
-            groups.setdefault(blocks[g.head], []).append(g)
-    else:
-        votes = ets.votes_of(coalition)
-        for g in prefix_class:
-            for ext in extensions(ets, g):
-                key = (votes[ext.profiles[-1]], blocks[ext.states[-1]])
-                groups.setdefault(key, []).append(ext)
-    classes = ets._classes[coalition]
-    for group in groups.values():
-        cls = tuple(group)
-        for g in cls:
-            classes[g] = cls
-
-
 def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
-    """Parse a literal like ``w0 ; a=1,b=0 ; w4`` into the node of ``ets``'s history tree."""
+    """Parse a literal like ``w0 ; a=1,b=0 ; w4`` into a history of ``ets``."""
     parts = [part.strip() for part in text.split(";")]
     if not parts or len(parts) % 2 == 0:
         raise InvalidHistoryError(
@@ -522,17 +426,11 @@ def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
                     f"profile misses agent {sorted(missing)[0]!r}; history "
                     f"literals need complete profiles")
             profiles.append(Profile.of(votes))
-    # the tree's own node, so the anchor shares its prefixes and classes
-    node = next(g for g in histories_of_length(ets, 0) if g.head == states[0])
-    for w1, profile, w2 in zip(states, profiles, states[1:]):
-        for child in extensions(ets, node):
-            if child.states[-1] == w2 and child.profiles[-1] == profile:
-                node = child
-                break
-        else:
-            raise InvalidHistoryError(
-                f"({w1} ; {profile} ; {w2}) is not a mechanism transition")
-    return node
+    history = next(g for g in histories_of_length(ets, 0) if g.head == states[0])
+    for profile, w in zip(profiles, states[1:]):
+        history = history.extend(profile, w)
+    validate_history(ets, history)
+    return history
 
 
 def _expand_pattern(sys_agents: list[str], choices: list[str],

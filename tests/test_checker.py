@@ -1,8 +1,11 @@
 import itertools
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
+from knowhow import checker
 from knowhow.checker import (
     HorizonError, RegularityError, Verdict, check_claim, evaluate,
     evaluate_naive, witness,
@@ -200,22 +203,83 @@ def test_histories_are_validated(t1):
 
 
 def test_memoized_and_naive_agree_on_random_triples():
-    params = GenParams(seed=5, num_states=3, num_agents=2, num_choices=2,
+    # whole verdicts, witness included, over 3-agent systems
+    params = GenParams(seed=5, num_states=3, num_agents=3, num_choices=2,
                        branching=1.1, formula_depth=3, history_depth=2,
                        horizon=5)
-    from dataclasses import replace
-    import random
     rng = random.Random(99)
-    agree = 0
+    lengths, witnesses = set(), 0
     for i in range(80):
         ets = gen_system(replace(params, seed=i))
-        f = gen_formula(replace(params, seed=i), ("p", "q"),
-                        tuple(sorted(ets.agents)), salt=i)
-        pool = [g for n in range(2) for g in histories_of_length(ets, n)]
-        h = rng.choice(pool)
-        assert evaluate(ets, h, f).value == evaluate_naive(ets, h, f).value
-        agree += 1
-    assert agree == 80
+        agents = tuple(sorted(ets.agents))
+        f = gen_formula(replace(params, seed=i), ("p", "q"), agents, salt=i)
+        h = rng.choice(histories_of_length(ets, rng.randint(0, 2)))
+        lengths.add(h.length)
+        verdict = evaluate(ets, h, f)
+        assert verdict == evaluate_naive(ets, h, f), (str(f), str(h))
+        witnesses += verdict.strategy is not None
+    assert lengths == {0, 1, 2} and witnesses > 0
+
+
+# agent a cannot tell w0 from w1, agent b w1 from w2, and b's vote decides
+# where w0 goes; classes along a chain of K{a} H{b} grow with its depth
+CHAIN = """
+agents: a b
+choices: 0 1
+states: w0 w1 w2
+indist a: w0 w1
+indist b: w1 w2
+trans w0 [b=0] w1
+trans w0 [b=1] w2
+trans w1 [] w0
+trans w1 [] w2
+trans w2 [] w0
+valuation p: w1
+"""
+
+
+def _chain_goal(n: int):
+    return parse("K{a} H{b} " * n + "p")
+
+
+def test_deep_knowledge_chains_decide_on_types():
+    ets = load_system(CHAIN)
+    values = set()
+    for n in (1, 2):
+        for h in histories_of_length(ets, 0) + histories_of_length(ets, 1):
+            verdict = evaluate(ets, h, _chain_goal(n))
+            assert verdict == evaluate_naive(ets, h, _chain_goal(n)), (n, str(h))
+            values.add(verdict.value)
+    assert values == {True, False}
+    for h in histories_of_length(ets, 0):
+        assert evaluate(ets, h, _chain_goal(3)) == evaluate_naive(ets, h, _chain_goal(3))
+    start = time.perf_counter()
+    evaluate(ets, parse_history(ets, "w0"), _chain_goal(37))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_many_coalitions_deep_in_a_formula_stay_fast():
+    # types carry only the nodes their own formula reaches, not every
+    # coalition of the formula at every depth
+    ets = gen_system(GenParams(seed=3, num_states=4, num_agents=3,
+                               branching=1.5))
+    h = histories_of_length(ets, 3)[100]
+    f = parse("K{a0} H{a1,a2} K{a0,a2} (p -> H{a1} K{a0,a1,a2} H{a2} q)")
+    start = time.perf_counter()
+    evaluate(ets, h, f)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_shared_subformulas_are_walked_once(t1):
+    f = parse("K{a} p")
+    for _ in range(22):
+        f = Not(Implies(f, f))
+    h = parse_history(t1, "w0")
+    for walk in (uses_empty_coalition, h_depth, checker._Types(t1).nodes,
+                 lambda f: evaluate(t1, h, f)):
+        start = time.perf_counter()
+        walk(f)
+        assert time.perf_counter() - start < 0.5
 
 
 def _empty_coalition_cases():

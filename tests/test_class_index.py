@@ -1,26 +1,24 @@
-"""The per-system indistinguishability-class index behind ``indist_class``.
+"""Knowledge types, which stand in for indistinguishability classes.
 
-The index must give exactly the partition that pairwise ``hist_indist``
-gives, in whatever order classes are asked for; must build each class once,
-on demand, from the class of its prefix, without enumerating whole history
-levels; must be shared by every later evaluation on the same system; and
-must stay out of the oracles: the naive evaluator and the lemma suite's
-relation checks run with it disabled.
+The member types a formula's type holds for ``M{C} x`` must be exactly the
+``x``-types of the histories that pairwise ``hist_indist`` relates, in level
+order; evaluation at any anchor must build no history level above 0; each
+(subformula, type) must be decided once per evaluation; and the types must
+stay out of the oracles: the naive evaluator and the lemma suite's relation
+checks run with the type table disabled.
 """
 import random
 
 import pytest
 
-from knowhow import checker, system
-from knowhow.checker import evaluate, evaluate_naive, witness
-from knowhow.formula import How, Know, parse
+from knowhow import checker, harness
+from knowhow.checker import evaluate, evaluate_naive
+from knowhow.formula import Atom, How, Know, parse
 from knowhow.harness import (
     GenParams, LemmaReport, _check_history_relation, _coalitions, gen_formula,
     gen_system, lemma_suite,
 )
-from knowhow.system import (
-    hist_indist, histories_of_length, indist_class, parse_history,
-)
+from knowhow.system import hist_indist, histories_of_length, parse_history
 
 # (branching, states, agents): level 3 stays at a few hundred histories so
 # the quadratic brute force below remains quick
@@ -36,13 +34,20 @@ EXACT_SYSTEMS = [
     ids=[f"b{p.branching}-s{p.num_states}-a{p.num_agents}-seed{p.seed}"
          for p in EXACT_SYSTEMS])
 def test_index_partition_equals_pairwise_hist_indist(params):
+    # the type table indexes each class by its members' types: for K{C} x
+    # they must be the x-types of the pairwise class, in level order
     ets = gen_system(params)
+    types = checker._Types(ets)
+    agents = frozenset(ets.agents)
     for coalition in _coalitions(ets.agents, include_empty=False):
+        x = Know(agents - coalition or agents, Atom("p"))
+        f = Know(coalition, x)
         for n in range(4):
             level = histories_of_length(ets, n)
             for h in level:
-                brute = {g for g in level if hist_indist(ets, h, g, coalition)}
-                assert set(indist_class(ets, h, coalition)) == brute
+                brute = dict.fromkeys(types.of(x, g) for g in level
+                                      if hist_indist(ets, h, g, coalition))
+                assert types.types[types.of(f, h)][1][f] == tuple(brute)
 
 
 @pytest.mark.parametrize(
@@ -50,23 +55,22 @@ def test_index_partition_equals_pairwise_hist_indist(params):
     ids=[f"b{p.branching}-s{p.num_states}-a{p.num_agents}-seed{p.seed}"
          for p in EXACT_SYSTEMS])
 def test_classes_requested_deepest_first_on_a_cold_system(params):
-    # the reference levels come from a second copy of the system; the cold
-    # one sees only its anchors, resolved through its own history tree
+    # the reference verdicts come from the oracle on a second copy of the
+    # system; the cold one sees only its anchors, parsed from their text
     warm, cold = gen_system(params), gen_system(params)
     rng = random.Random(params.seed)
     requests = []
     for n in range(4, -1, -1):
         level = histories_of_length(warm, n)
-        batch = [(h, coalition)
+        batch = [(h, f)
                  for h in rng.sample(level, min(4, len(level)))
-                 for coalition in _coalitions(warm.agents, include_empty=False)]
+                 for coalition in _coalitions(warm.agents, include_empty=False)
+                 for f in (Know(coalition, Atom("p")), How(coalition, Atom("q")))]
         rng.shuffle(batch)
         requests += batch
-    for h, coalition in requests:
+    for h, f in requests:
         anchor = parse_history(cold, str(h))
-        brute = {g for g in histories_of_length(warm, h.length)
-                 if hist_indist(warm, h, g, coalition)}
-        assert set(indist_class(cold, anchor, coalition)) == brute
+        assert evaluate(cold, anchor, f) == evaluate_naive(warm, h, f)
     assert len(cold._levels) <= 1
 
 
@@ -81,51 +85,27 @@ def test_evaluate_builds_no_level_above_0():
     assert verdict == evaluate_naive(gen_system(params), h, f)
 
 
-def test_later_evaluations_and_witness_reuse_the_tables(monkeypatch):
-    ets = gen_system(GenParams(seed=5))
-    refined = []
-    refine = system._refine
-
-    def counting(ets, coalition, prefix_class):
-        refined.append((coalition, prefix_class))
-        return refine(ets, coalition, prefix_class)
-
-    monkeypatch.setattr(system, "_refine", counting)
-    h = histories_of_length(ets, 1)[3]
-    a0 = frozenset({"a0"})
-
-    evaluate(ets, h, parse("H{a0} K{a0} p"))
-    first = list(refined)
-    # the length-0 histories (None), the class of h's prefix, whose
-    # refinement holds h's class, and h's class for the successors
-    assert len(first) == len(set(first)) == 3
-    assert set(first) == {(a0, None), (a0, indist_class(ets, h.prefix, a0)),
-                          (a0, indist_class(ets, h, a0))}
-
-    evaluate(ets, h, parse("K{a0} H{a0} !p"))
-    witness(ets, h, a0, parse("K{a0} p"))
-    assert refined == first
-
-
-def test_each_class_is_scanned_once_per_modality(monkeypatch):
+def test_each_subformula_is_decided_once_per_type(monkeypatch):
     # with one block per agent a class holds a whole slice of its level, so
-    # scanning it again for every member made nested H{} goals quadratic
+    # deciding each member again made nested H{} goals quadratic
     ets = gen_system(GenParams(seed=2, num_states=3))
     f = parse("H{} ((q -> H{a1} q) -> K{a0} (H{a0} H{a1} q))")
     h = histories_of_length(ets, 0)[1]
-    scanned = []
-    sat = checker._Evaluator._sat
+    decided, tables = [], []
+    value = checker._Evaluator._value
 
-    def counting(self, g, sub):
-        if isinstance(sub, (Know, How)) and sub.coalition:
-            scanned.append((sub, indist_class(ets, g, sub.coalition)))
-        return sat(self, g, sub)
+    def counting(self, sub, t):
+        decided.append((sub, t))
+        tables.append(self.types)
+        return value(self, sub, t)
 
-    monkeypatch.setattr(checker._Evaluator, "_sat", counting)
+    monkeypatch.setattr(checker._Evaluator, "_value", counting)
     verdict = evaluate(ets, h, f, horizon=3)
     monkeypatch.undo()
-    assert max(len(cls) for _, cls in scanned) > 1
-    assert len(scanned) == len({(sub, id(cls)) for sub, cls in scanned})
+    assert len({id(table) for table in tables}) == 1
+    assert max(len(m) for _, members in tables[0].types
+               for m in members.values()) > 1
+    assert len(decided) == len(set(decided))
     naive = evaluate_naive(ets, h, f, horizon=3)
     assert (verdict.value, verdict.bounded) == (naive.value, naive.bounded)
 
@@ -154,8 +134,13 @@ def test_empty_coalition_levels_are_enumerated_once_per_body(monkeypatch):
         assert verdict == naive, text
 
 
-def _refuse_to_build(ets, coalition, prefix_class):
-    raise AssertionError("the class index was consulted")
+def _refuse_to_type(*args):
+    raise AssertionError("the type table was consulted")
+
+
+def _disable_types(monkeypatch):
+    monkeypatch.setattr(checker._Types, "root", _refuse_to_type)
+    monkeypatch.setattr(checker._Types, "step", _refuse_to_type)
 
 
 def test_naive_oracle_never_builds_class_tables(monkeypatch):
@@ -166,16 +151,14 @@ def test_naive_oracle_never_builds_class_tables(monkeypatch):
     anchors = histories_of_length(ets, 2)[::7]
     expected = [evaluate(ets, h, f).value for h in anchors for f in formulas]
 
-    monkeypatch.setattr(system, "_refine", _refuse_to_build)
-    cold = gen_system(params)
-    assert [evaluate_naive(cold, h, f).value
+    _disable_types(monkeypatch)
+    assert [evaluate_naive(ets, h, f).value
             for h in anchors for f in formulas] == expected
-    assert cold._classes == {}
 
 
 def test_lemma_relation_checks_never_build_class_tables(monkeypatch):
     params = GenParams(seed=4)
-    monkeypatch.setattr(system, "_refine", _refuse_to_build)
+    _disable_types(monkeypatch)
     ets = gen_system(params)
     report = LemmaReport(params)
     rng = random.Random(0)
@@ -184,18 +167,17 @@ def test_lemma_relation_checks_never_build_class_tables(monkeypatch):
             _check_history_relation(ets, coalition, n, rng, report, "cold")
     assert report.relation_checks > 0
     assert report.failures == []
-    assert ets._classes == {}
 
 
 def test_lemma_suite_gives_the_same_report_with_the_builder_disabled(monkeypatch):
     params = GenParams(seed=9)
     fresh = lemma_suite(params, num_systems=0,
                         extra_systems=(gen_system(params),))
-    warm = gen_system(params)
-    lemma_suite(params, num_systems=0, extra_systems=(warm,))
 
-    # the laws find every class they need already built; the relation
-    # checks never asked for one
-    monkeypatch.setattr(system, "_refine", _refuse_to_build)
-    again = lemma_suite(params, num_systems=0, extra_systems=(warm,))
+    # the relation checks never type a history; the semantic laws do, so
+    # with the type table disabled they are decided by the oracle
+    _disable_types(monkeypatch)
+    monkeypatch.setattr(harness, "evaluate", evaluate_naive)
+    again = lemma_suite(params, num_systems=0,
+                        extra_systems=(gen_system(params),))
     assert again.to_dict() == fresh.to_dict()

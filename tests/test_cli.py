@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from knowhow import checker, system
+from knowhow import checker, cli, system
 from knowhow.cli import main
 from knowhow.fixtures import fixture_text, proof_text
 from knowhow.formula import MAX_NESTING
@@ -106,7 +106,7 @@ def test_check_decides_a_formula_nested_to_the_limit(tmp_path, capsys, op):
 @pytest.mark.parametrize("formula", ["K{a} p", "H{a} p"])
 def test_check_decides_at_a_history_longer_than_the_recursion_limit(
         tmp_path, capsys, formula):
-    # the anchor is resolved and its classes refined in loops, one step per level
+    # the anchor is parsed and its type folded in loops, one step per level
     path = tmp_path / "loop.ets"
     path.write_text(LOOP)
     history = " ; ".join(["w0"] + ["a=0", "w0"] * 1100)
@@ -157,6 +157,33 @@ def test_prove_ok_and_failing(tmp_path, capsys):
     bad.write_text(proof_text("bad_cooperation_overlap.proof"))
     assert main(["prove", str(bad)]) == 1
     assert "line 2" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_per_process(t1_path, tmp_path, capsys,
+                                             monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert main(["check", "--system", t1_path, "--history", "w1",
+                     "--formula", "H{a} p"]) == 1
+        assert "witness: none\n" in capsys.readouterr().out
+        good = tmp_path / "good.proof"
+        good.write_text(proof_text("how_coalition_widening.proof"))
+        assert main(["prove", str(good)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        # a handler replaced after the parser was built is the one that runs
+        monkeypatch.setattr(cli, "_cmd_prove", lambda args: 7)
+        assert main(["prove", str(good)]) == 7
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_prove_over_the_opaque_cap_is_a_usage_error(tmp_path, capsys):

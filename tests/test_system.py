@@ -6,7 +6,7 @@ from knowhow.fixtures import fixture_text
 from knowhow.system import (
     MAX_PROFILES, EpistemicTransitionSystem, History, InvalidHistoryError,
     ModelFormatError, Profile, check_profile_count, check_regular, extensions,
-    hist_indist, histories_of_length, indist_class, load_system, parse_history,
+    hist_indist, histories_of_length, load_system, parse_history,
     profile_agrees, state_indist,
 )
 
@@ -139,8 +139,8 @@ def test_hist_indist_full_run_has_exactly_one_twin(t1):
     run = h(t1, "w0 ; a=1 ; w1 ; a=0 ; w2")
     twin = h(t1, "w0' ; a=1 ; w1 ; a=0 ; w2")
     assert hist_indist(t1, run, twin, A)
-    cls = set(indist_class(t1, run, A))
-    assert cls == {run, twin}
+    level = histories_of_length(t1, run.length)
+    assert {g for g in level if hist_indist(t1, run, g, A)} == {run, twin}
 
 
 def test_hist_indist_needs_equal_lengths_for_nonempty_coalitions(t1):
@@ -174,21 +174,6 @@ def test_history_counts(t1):
     assert len(histories_of_length(t1, 0)) == len(t1.states)
     # oracle: every mechanism triple is exactly one length-1 history
     assert len(histories_of_length(t1, 1)) == len(t1.mechanism) == 12
-
-
-def test_indist_class_examples(t1):
-    cls = set(indist_class(t1, h(t1, "w1"), A))
-    assert cls == {h(t1, "w1"), h(t1, "w1'")}
-    cls = set(indist_class(t1, h(t1, "w0 ; a=1 ; w1"), A))
-    assert cls == {h(t1, "w0 ; a=1 ; w1"), h(t1, "w0' ; a=1 ; w1")}
-
-
-def test_indist_class_is_reflexive_and_rejects_empty_coalition(t1):
-    for n in range(3):
-        for g in histories_of_length(t1, n):
-            assert g in indist_class(t1, g, A)
-    with pytest.raises(ValueError):
-        indist_class(t1, h(t1, "w1"), frozenset())
 
 
 def test_relations_are_equivalences_on_t1(t1):
@@ -248,14 +233,10 @@ def test_parse_history_validates(t2):
 
 def test_parse_history_returns_the_nodes_of_the_history_tree(t1):
     run = h(t1, "w0 ; a=1 ; w1 ; a=0 ; w2")
-    prefix = h(t1, "w0 ; a=1 ; w1")
-    assert run.prefix is prefix and prefix.prefix is h(t1, "w0")
-    assert [ext for ext in extensions(t1, prefix) if ext is run] == [run]
-    assert [g for g in histories_of_length(t1, 2) if g is run] == [run]
-    # built from its tuples, a history equals and hashes like the tree's node
+    # built from its tuples, a history equals and hashes like the parsed one
     copy = History(run.states, run.profiles)
     assert copy is not run and copy == run and hash(copy) == hash(run)
-    assert copy.prefix == prefix and hash(copy.prefix) == hash(prefix)
+    assert run in histories_of_length(t1, 2)
     with pytest.raises(InvalidHistoryError,
                        match=r"^\(w1 ; a=1 ; w0\) is not a mechanism transition$"):
         h(t1, "w0 ; a=1 ; w1 ; a=1 ; w0")
