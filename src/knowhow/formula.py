@@ -41,10 +41,17 @@ class NestingError(ValueError):
 
 
 class Formula:
-    """Base class for formula nodes; trees are immutable and compare structurally."""
+    """Base class for formula nodes; trees are immutable and compare structurally.
+
+    ``str`` and ``repr`` fold the tree without recursion (see :func:`_fold`),
+    so they print formulas of any depth.
+    """
 
     def __str__(self) -> str:
         return format_formula(self)
+
+    def __repr__(self) -> str:
+        return _fold(self, _repr_node)
 
 
 def _cached_hash(self):
@@ -60,9 +67,6 @@ class Falsum(Formula):
     def __post_init__(self):
         object.__setattr__(self, "_h", hash("Falsum"))
 
-    def __repr__(self):
-        return "Falsum()"
-
 
 @dataclass(frozen=True, repr=False)
 class Atom(Formula):
@@ -73,9 +77,6 @@ class Atom(Formula):
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("Atom", self.name)))
 
-    def __repr__(self):
-        return f"Atom({self.name!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class Not(Formula):
@@ -85,9 +86,6 @@ class Not(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("Not", self.sub)))
-
-    def __repr__(self):
-        return f"Not({self.sub!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -100,9 +98,6 @@ class Implies(Formula):
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("Implies", self.left, self.right)))
 
-    def __repr__(self):
-        return f"Implies({self.left!r}, {self.right!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class Know(Formula):
@@ -114,9 +109,6 @@ class Know(Formula):
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("Know", self.coalition, self.sub)))
 
-    def __repr__(self):
-        return f"Know({set(self.coalition) or '{}'}, {self.sub!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class How(Formula):
@@ -127,9 +119,6 @@ class How(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("How", self.coalition, self.sub)))
-
-    def __repr__(self):
-        return f"How({set(self.coalition) or '{}'}, {self.sub!r})"
 
 
 #: ``true`` desugars to this node.
@@ -199,12 +188,12 @@ _UNARY_START = (_BANG, _IDENT, _TRUE, _FALSE, _LPAREN)
 
 #: Deepest operand nesting ``parse`` accepts.  Every ``!``, ``K{..}``,
 #: ``H{..}``, ``->`` and ``(`` opens one level for the operand after it, so
-#: ``"!" * MAX_NESTING + "p"`` is the deepest chain of negations.  The parser,
-#: the printer and the checker recurse per level, the checker up to five
-#: frames per ``H{..}``, so a formula of any shape at this bound still runs
-#: under Python's default recursion limit of 1000.  Deeper text fails as a
-#: syntax error instead of a RecursionError, and the checker refuses deeper
-#: formulas built in code (see :func:`nesting`).
+#: ``"!" * MAX_NESTING + "p"`` is the deepest chain of negations.  The parser
+#: and the checker recurse per level, the checker up to five frames per
+#: ``H{..}``, so a formula of any shape at this bound still runs under
+#: Python's default recursion limit of 1000.  Deeper text fails as a syntax
+#: error instead of a RecursionError, and the checker refuses deeper formulas
+#: built in code (see :func:`nesting`); the printer has no such limit.
 MAX_NESTING = 150
 
 
@@ -317,28 +306,40 @@ def format_formula(f: Formula) -> str:
 
     Coalition members come out sorted; ``!false`` prints as ``true``.
     """
-    return _fmt(f, top=True)
+    return _fold(f, _format_node)
 
 
-def _fmt(f: Formula, top: bool) -> str:
-    # top=False means the formula sits in a unary slot, where a bare
-    # implication would be misparsed and needs parentheses.
-    if f == TOP:
-        return "true"
-    if isinstance(f, Falsum):
+def _slot(sub: Formula, text: str) -> str:
+    # a unary operand slot; a bare implication there would be misparsed
+    return "(" + text + ")" if isinstance(sub, Implies) else text
+
+
+def _format_node(g: Formula, texts: list[str]) -> str:
+    if isinstance(g, Atom):
+        return g.name
+    if isinstance(g, Falsum):
         return "false"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "!" + _fmt(f.sub, top=False)
-    if isinstance(f, Know):
-        return "K" + format_coalition(f.coalition) + " " + _fmt(f.sub, top=False)
-    if isinstance(f, How):
-        return "H" + format_coalition(f.coalition) + " " + _fmt(f.sub, top=False)
-    if isinstance(f, Implies):
-        body = _fmt(f.left, top=False) + " -> " + _fmt(f.right, top=True)
-        return body if top else "(" + body + ")"
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(g, Not):
+        if isinstance(g.sub, Falsum):  # TOP
+            return "true"
+        return "!" + _slot(g.sub, texts[0])
+    if isinstance(g, Know):
+        return "K" + format_coalition(g.coalition) + " " + _slot(g.sub, texts[0])
+    if isinstance(g, How):
+        return "H" + format_coalition(g.coalition) + " " + _slot(g.sub, texts[0])
+    return _slot(g.left, texts[0]) + " -> " + texts[1]  # Implies
+
+
+def _repr_node(g: Formula, texts: list[str]) -> str:
+    if isinstance(g, Falsum):
+        return "Falsum()"
+    if isinstance(g, Atom):
+        return f"Atom({g.name!r})"
+    if isinstance(g, Not):
+        return f"Not({texts[0]})"
+    if isinstance(g, Implies):
+        return f"Implies({texts[0]}, {texts[1]})"
+    return f"{type(g).__name__}({set(g.coalition) or '{}'}, {texts[0]})"  # Know, How
 
 
 def _operands(f: Formula) -> tuple[Formula, ...]:
@@ -360,16 +361,16 @@ def _fold(f: Formula, combine):
     and a shared subformula costs once.
     """
     done: dict[int, object] = {}  # id(node) -> the node's result
-    stack = [f]
+    stack = [(f, _operands(f))]
     while stack:
-        g = stack[-1]
-        operands = _operands(g)
-        todo = [sub for sub in operands if id(sub) not in done]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        done[id(g)] = combine(g, [done[id(sub)] for sub in operands])
+        g, operands = stack[-1]
+        for sub in operands:
+            if id(sub) not in done:
+                stack.append((sub, _operands(sub)))
+                break
+        else:
+            stack.pop()
+            done[id(g)] = combine(g, [done[id(sub)] for sub in operands])
     return done[id(f)]
 
 

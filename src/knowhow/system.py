@@ -12,7 +12,9 @@ folded step by step, so :meth:`History.extend` costs O(1) hashing.
 :func:`histories_of_length` builds whole levels, once per system, and
 :func:`parse_history` walks down from a level-0 root.  The relations
 ``state_indist``, ``profile_agrees`` and ``hist_indist`` are the plain
-pairwise definitions; the checker never lists a class.
+pairwise definitions; the checker never lists a class.  They read a vote
+from the profile's agent map and a block from the agent's block table, so
+``hist_indist`` costs O(length x |C|) lookups.
 """
 from __future__ import annotations
 
@@ -72,7 +74,8 @@ class Profile:
     """Immutable assignment of one choice to each agent in its domain.
 
     Used both for complete profiles (domain = all agents of the system) and
-    for coalition strategy profiles (domain = the coalition).
+    for coalition strategy profiles (domain = the coalition).  The agent to
+    choice map ``_choice`` is built once, so a vote lookup costs O(1).
     """
 
     votes: tuple[tuple[str, str], ...]  # sorted (agent, choice) pairs
@@ -81,19 +84,17 @@ class Profile:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(self.votes))
+        object.__setattr__(self, "_choice", dict(self.votes))
 
     @classmethod
     def of(cls, mapping: Mapping[str, str]) -> "Profile":
         return cls(tuple(sorted(mapping.items())))
 
     def __getitem__(self, agent: str) -> str:
-        for a, choice in self.votes:
-            if a == agent:
-                return choice
-        raise KeyError(agent)
+        return self._choice[agent]
 
     def __contains__(self, agent: str) -> bool:
-        return any(a == agent for a, _ in self.votes)
+        return agent in self._choice
 
     @property
     def agents(self) -> Coalition:
@@ -111,7 +112,11 @@ class Profile:
 
 def profile_agrees(s1: Profile, s2: Profile, coalition: Coalition) -> bool:
     """True iff the two profiles assign the same choice to every agent of the coalition."""
-    return all(s1[a] == s2[a] for a in coalition)
+    c1, c2 = s1._choice, s2._choice
+    for agent in coalition:
+        if c1[agent] != c2[agent]:
+            return False
+    return True
 
 
 class History:
@@ -347,14 +352,19 @@ def hist_indist(ets: EpistemicTransitionSystem, h1: History, h2: History,
     The empty coalition relates any two histories.  Otherwise the histories
     must have equal length, corresponding states must be indistinguishable to
     every member, and corresponding profiles must agree on every member.
+    Each member's block table is read once; an agent or a state outside the
+    system raises ``KeyError``, as in :func:`state_indist`.
     """
     if not coalition:
         return True
-    if h1.length != h2.length:
+    states1, states2 = h1.states, h2.states
+    if len(states1) != len(states2):
         return False
-    for w1, w2 in zip(h1.states, h2.states):
-        if not state_indist(ets, w1, w2, coalition):
-            return False
+    for agent in coalition:
+        block = ets._block[agent]
+        for w1, w2 in zip(states1, states2):
+            if block[w1] != block[w2]:
+                return False
     for s1, s2 in zip(h1.profiles, h2.profiles):
         if not profile_agrees(s1, s2, coalition):
             return False

@@ -121,6 +121,24 @@ def test_very_deep_formula_fails_fast():
     assert err.value.offset == MAX_NESTING
 
 
+def test_formulas_too_deep_to_parse_still_print():
+    # str and repr fold the tree with an explicit stack, not one frame a level
+    negations, implications = Atom("p"), Atom("p")
+    for _ in range(2000):
+        negations = Not(negations)
+        implications = Implies(implications, Atom("q"))
+    assert str(negations) == "!" * 2000 + "p"
+    assert repr(negations) == "Not(" * 2000 + "Atom('p')" + ")" * 2000
+    assert str(implications) == "(" * 1999 + "p" + " -> q)" * 1999 + " -> q"
+    assert repr(implications) == (
+        "Implies(" * 2000 + "Atom('p')" + ", Atom('q'))" * 2000)
+
+
+def test_repr_examples():
+    assert repr(parse("K{a} !p -> H{} false")) == (
+        "Implies(Know({'a'}, Not(Atom('p'))), How({}, Falsum()))")
+
+
 def test_h_depth():
     assert h_depth(Atom("p")) == 0
     assert h_depth(parse("H{a} H{a} p")) == 2

@@ -12,6 +12,7 @@ from knowhow.harness import (
 from knowhow.proofkit import AxiomName, match_axiom
 from knowhow.system import (
     MAX_PROFILES, check_regular, hist_indist, histories_of_length,
+    profile_agrees, state_indist,
 )
 
 
@@ -125,6 +126,50 @@ def test_lemma_suite_raises_when_evaluate_refutes_a_valid_law(monkeypatch):
                         lambda ets, h, f, horizon=None: Verdict(False))
     with pytest.raises(AssertionError, match="disagree"):
         lemma_suite(GenParams(seed=1), num_systems=1)
+
+
+@pytest.mark.parametrize("seed, relation_checks, property_checks",
+                         [(1, 15700, 41), (2, 19541, 42), (3, 16150, 41)])
+def test_lemma_suite_counts_are_pinned(seed, relation_checks, property_checks):
+    # counts recorded before the relation checks were made cheaper: a faster
+    # suite must still check every pair it checked then
+    report = lemma_suite(GenParams(seed=seed), num_systems=1)
+    assert report.failures == []
+    assert report.relation_checks == relation_checks
+    assert report.property_checks == property_checks
+
+
+def _relation_without(part):
+    """``hist_indist`` written out position by position, minus one part."""
+
+    def related(ets, h1, h2, coalition):
+        if not coalition:
+            return True
+        if part != "length" and h1.length != h2.length:
+            return False
+        last = -1 if part == "head state" else None
+        return all(state_indist(ets, w1, w2, coalition)
+                   for w1, w2 in zip(h1.states[:last], h2.states[:last])) and (
+            part == "profiles" or all(
+                profile_agrees(s1, s2, coalition)
+                for s1, s2 in zip(h1.profiles, h2.profiles)))
+
+    return related
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("part, symptom", [
+    ("profiles", "across different signatures"),
+    ("head state", "across different signatures"),
+    # zip compares the positions both have: a history is related to its
+    # own extensions
+    ("length", "related histories of lengths 0 and"),
+])
+def test_lemma_suite_catches_a_broken_history_relation(monkeypatch, part,
+                                                       symptom, seed):
+    monkeypatch.setattr(harness, "hist_indist", _relation_without(part))
+    report = lemma_suite(GenParams(seed=seed), num_systems=1)
+    assert any(symptom in failure for failure in report.failures)
 
 
 def test_empty_coalition_relates_histories_of_different_lengths(t1):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from knowhow.fixtures import fixture_text
+from knowhow.harness import GenParams, gen_system
 from knowhow.system import (
     MAX_PROFILES, EpistemicTransitionSystem, History, InvalidHistoryError,
     ModelFormatError, Profile, check_profile_count, check_regular, extensions,
@@ -148,6 +149,81 @@ def test_hist_indist_needs_equal_lengths_for_nonempty_coalitions(t1):
     h3 = h(t1, "w0 ; a=1 ; w1 ; a=0 ; w2 ; a=0 ; w2")
     assert not hist_indist(t1, h1, h3, A)
     assert hist_indist(t1, h1, h3, frozenset())  # empty coalition ignores length
+
+
+def _vote(profile, agent):
+    # the choice paired with the agent in the sorted vote pairs
+    for a, choice in profile.votes:
+        if a == agent:
+            return choice
+    raise KeyError(agent)
+
+
+def _agrees_by_definition(s1, s2, coalition):
+    return all(_vote(s1, a) == _vote(s2, a) for a in coalition)
+
+
+def _indist_by_definition(ets, h1, h2, coalition):
+    # position by position: same length, every pair of states in one block
+    # of every member, every pair of profiles agreeing on every member
+    if not coalition:
+        return True
+    if len(h1.profiles) != len(h2.profiles):
+        return False
+    for w1, w2 in zip(h1.states, h2.states):
+        for a in coalition:
+            if not any(w1 in block and w2 in block for block in ets.indist[a]):
+                return False
+    return all(_agrees_by_definition(s1, s2, coalition)
+               for s1, s2 in zip(h1.profiles, h2.profiles))
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(seed=1, num_states=3),
+    GenParams(seed=2, num_states=3, branching=1.5),
+    GenParams(seed=3, num_states=2, num_agents=1, num_choices=3),
+    GenParams(seed=4),
+    GenParams(seed=5, num_states=2, num_agents=3),
+], ids=["s3-a2", "s3-a2-b1.5", "s2-a1-c3", "s4-a2", "s2-a3"])
+def test_relations_keep_their_pairwise_definitions(params):
+    ets = gen_system(params)
+    coalitions = [frozenset(c) for n in range(len(ets.agents) + 1)
+                  for c in itertools.combinations(sorted(ets.agents), n)]
+    profiles = ets.complete_profiles
+    for s in profiles:
+        for a in ets.agents:
+            assert s[a] == _vote(s, a)
+    for c in coalitions:
+        for s1, s2 in itertools.product(profiles, repeat=2):
+            assert profile_agrees(s1, s2, c) == _agrees_by_definition(s1, s2, c)
+    hs = [g for n in range(3) for g in histories_of_length(ets, n)]
+    related = 0
+    for c in coalitions:
+        for h1, h2 in itertools.product(hs, repeat=2):
+            expected = _indist_by_definition(ets, h1, h2, c)
+            assert hist_indist(ets, h1, h2, c) == expected, (h1, h2, c)
+            related += expected and h1 != h2 and h1.length == h2.length
+    assert related > 0  # some distinct pairs are related, not only h ~ h
+
+
+def test_relations_still_raise_key_error_outside_the_system(t1):
+    s = Profile.of({"a": "0"})
+    with pytest.raises(KeyError):
+        s["z"]
+    assert "z" not in s
+    with pytest.raises(KeyError):
+        profile_agrees(s, s, frozenset({"z"}))
+    run = h(t1, "w0 ; a=1 ; w1")
+    for g in (h(t1, "w0"), run):
+        with pytest.raises(KeyError):
+            hist_indist(t1, g, g, frozenset({"z"}))
+    with pytest.raises(KeyError):
+        hist_indist(t1, run, run, frozenset({"a", "z"}))
+    stranger = History(("nope",), ())
+    with pytest.raises(KeyError):
+        hist_indist(t1, stranger, stranger, A)
+    with pytest.raises(KeyError):
+        hist_indist(t1, h(t1, "w0"), stranger, A)
 
 
 def test_extensions_of_sink_state(t1):
