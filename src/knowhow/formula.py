@@ -14,6 +14,11 @@ Grammar (whitespace insignificant between tokens)::
     atom      := "false" | "true" | ident | "(" formula ")"
     coalition := "{" (ident ("," ident)*)? "}"
     ident     := [A-Za-z_][A-Za-z0-9_']*
+
+Whitespace is what ``str.isspace`` accepts.  :func:`parse` scans the text
+once with one compiled regular expression into ``(kind, text, offset)``
+tuples ending in an end-of-input token, then a recursive-descent parser
+reads them by index, one call per operand level (see ``MAX_NESTING``).
 """
 from __future__ import annotations
 
@@ -126,61 +131,35 @@ TOP = Not(Falsum())
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
-_KEYWORDS = {"true", "false"}
-
 # token kinds
 _ARROW, _BANG, _LBRACE, _RBRACE, _LPAREN, _RPAREN, _COMMA, _IDENT, _TRUE, _FALSE, _EOF = (
     "'->'", "'!'", "'{'", "'}'", "'('", "')'", "','", "identifier", "'true'", "'false'",
     "end of input",
 )
 
-_PUNCT = {
-    "->": _ARROW,
-    "!": _BANG,
-    "{": _LBRACE,
-    "}": _RBRACE,
-    "(": _LPAREN,
-    ")": _RPAREN,
-    ",": _COMMA,
+# the kind of every token text that is not an identifier
+_KINDS = {
+    "->": _ARROW, "!": _BANG, "{": _LBRACE, "}": _RBRACE, "(": _LPAREN, ")": _RPAREN,
+    ",": _COMMA, "true": _TRUE, "false": _FALSE,
 }
 
+# group 1 is a token; group 2 is any other character that is not whitespace.
+# ``finditer`` steps over the positions where neither matches, which are the
+# ``\s`` characters: for ``str`` patterns exactly those that ``str.isspace``
+# accepts.
+_SCANNER = re.compile(r"(->|[!{}(),]|" + IDENT_RE.pattern + r")|(\S)")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
 
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, offset)`` tokens of ``text``, then an end-of-input
+    token, so the parser can look one token past any token but the last."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token(_ARROW, "->", i))
-            i += 2
-            continue
-        if ch in "!{}(),":
-            tokens.append(_Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        m = IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            if word == "true":
-                tokens.append(_Token(_TRUE, word, i))
-            elif word == "false":
-                tokens.append(_Token(_FALSE, word, i))
-            else:
-                tokens.append(_Token(_IDENT, word, i))
-            i = m.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token(_EOF, "", n))
+    for m in _SCANNER.finditer(text):
+        word = m.group()
+        if m.lastindex == 2:
+            raise FormulaSyntaxError(f"unexpected character {word!r}", m.start())
+        tokens.append((_KINDS.get(word, _IDENT), word, m.start()))
+    tokens.append((_EOF, "", len(text)))
     return tokens
 
 
@@ -189,111 +168,103 @@ _UNARY_START = (_BANG, _IDENT, _TRUE, _FALSE, _LPAREN)
 #: Deepest operand nesting ``parse`` accepts.  Every ``!``, ``K{..}``,
 #: ``H{..}``, ``->`` and ``(`` opens one level for the operand after it, so
 #: ``"!" * MAX_NESTING + "p"`` is the deepest chain of negations.  The parser
-#: and the checker recurse per level, the checker up to five frames per
-#: ``H{..}``, so a formula of any shape at this bound still runs under
-#: Python's default recursion limit of 1000.  Deeper text fails as a syntax
-#: error instead of a RecursionError, and the checker refuses deeper formulas
-#: built in code (see :func:`nesting`); the printer has no such limit.
+#: reads the token tuples by index but still recurses once per level, and the
+#: checker recurses up to five frames per ``H{..}``, so a formula of any shape
+#: at this bound still runs under Python's default recursion limit of 1000.
+#: Deeper text fails as a syntax error instead of a RecursionError, and the
+#: checker refuses deeper formulas built in code (see :func:`nesting`); the
+#: printer has no such limit.
 MAX_NESTING = 150
 
 
+def _deeper(depth: int, opener_offset: int) -> int:
+    """The depth of the operand that the token at ``opener_offset`` opens."""
+    if depth == MAX_NESTING:
+        raise FormulaSyntaxError(
+            f"formula nests deeper than {MAX_NESTING} levels", opener_offset)
+    return depth + 1
+
+
 class _Parser:
+    """Recursive descent over the token tuples of one text.
+
+    ``pos`` indexes the next unread token; the end-of-input token is never
+    read past.  A method's ``depth`` argument counts the operand levels
+    open around the text it reads.
+    """
+
+    __slots__ = ("tokens", "pos")
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def formula(self, depth: int) -> Formula:
+        left = self.unary(depth)
+        kind, _, offset = self.tokens[self.pos]
+        if kind != _ARROW:
+            return left
         self.pos += 1
-        return tok
+        return Implies(left, self.formula(_deeper(depth, offset)))
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaSyntaxError("syntax error", tok.offset, (kind,))
-        return self.advance()
-
-    def nested(self, parse_operand, opener: _Token) -> Formula:
-        """Parse the operand that ``opener`` introduces, one level deeper."""
-        if self.depth == MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"formula nests deeper than {MAX_NESTING} levels", opener.offset)
-        self.depth += 1
-        operand = parse_operand()
-        self.depth -= 1
-        return operand
-
-    def formula(self) -> Formula:
-        left = self.unary()
-        if self.peek().kind == _ARROW:
-            arrow = self.advance()
-            return Implies(left, self.nested(self.formula, arrow))
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == _BANG:
-            self.advance()
-            return Not(self.nested(self.unary, tok))
-        if tok.kind == _IDENT and tok.text in ("K", "H") and self.peek(1).kind == _LBRACE:
-            self.advance()
-            coalition = self.coalition()
-            sub = self.nested(self.unary, tok)
-            return Know(coalition, sub) if tok.text == "K" else How(coalition, sub)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == _FALSE:
-            self.advance()
-            return Falsum()
-        if tok.kind == _TRUE:
-            self.advance()
-            return Not(Falsum())
-        if tok.kind == _IDENT:
-            self.advance()
-            return Atom(tok.text)
-        if tok.kind == _LPAREN:
-            self.advance()
-            inner = self.nested(self.formula, tok)
-            self.expect(_RPAREN)
+    def unary(self, depth: int) -> Formula:
+        pos = self.pos
+        kind, text, offset = self.tokens[pos]
+        self.pos = pos + 1
+        if kind == _IDENT:
+            if text in ("K", "H") and self.tokens[pos + 1][0] == _LBRACE:
+                coalition = self.coalition()
+                sub = self.unary(_deeper(depth, offset))
+                return Know(coalition, sub) if text == "K" else How(coalition, sub)
+            return Atom(text)
+        if kind == _BANG:
+            return Not(self.unary(_deeper(depth, offset)))
+        if kind == _LPAREN:
+            inner = self.formula(_deeper(depth, offset))
+            kind, _, offset = self.tokens[self.pos]
+            if kind != _RPAREN:
+                raise FormulaSyntaxError("syntax error", offset, (_RPAREN,))
+            self.pos += 1
             return inner
-        raise FormulaSyntaxError("syntax error", tok.offset, _UNARY_START)
+        if kind == _FALSE:
+            return Falsum()
+        if kind == _TRUE:
+            return Not(Falsum())
+        raise FormulaSyntaxError("syntax error", offset, _UNARY_START)
 
     def coalition(self) -> Coalition:
-        self.expect(_LBRACE)
-        members: set[str] = set()
-        if self.peek().kind == _RBRACE:
-            self.advance()
+        """Read ``{...}``; ``pos`` is at the ``{``, which the caller has seen."""
+        tokens = self.tokens
+        pos = self.pos + 1
+        kind, text, offset = tokens[pos]
+        if kind == _RBRACE:
+            self.pos = pos + 1
             return frozenset()
+        members: set[str] = set()
         while True:
-            tok = self.expect(_IDENT)
-            if tok.text in members:
+            if kind != _IDENT:
+                raise FormulaSyntaxError("syntax error", offset, (_IDENT,))
+            if text in members:
                 raise FormulaSyntaxError(
-                    f"duplicate agent {tok.text!r} in coalition", tok.offset)
-            members.add(tok.text)
-            tok = self.peek()
-            if tok.kind == _COMMA:
-                self.advance()
-                continue
-            if tok.kind == _RBRACE:
-                self.advance()
+                    f"duplicate agent {text!r} in coalition", offset)
+            members.add(text)
+            kind, _, offset = tokens[pos + 1]
+            pos += 2
+            if kind == _RBRACE:
+                self.pos = pos
                 return frozenset(members)
-            raise FormulaSyntaxError("syntax error", tok.offset, (_COMMA, _RBRACE))
+            if kind != _COMMA:
+                raise FormulaSyntaxError("syntax error", offset, (_COMMA, _RBRACE))
+            kind, text, offset = tokens[pos]
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula; raise FormulaSyntaxError on bad input."""
     parser = _Parser(text)
-    f = parser.formula()
-    tok = parser.peek()
-    if tok.kind != _EOF:
-        raise FormulaSyntaxError("syntax error", tok.offset, (_ARROW, _EOF))
+    f = parser.formula(0)
+    kind, _, offset = parser.tokens[parser.pos]
+    if kind != _EOF:
+        raise FormulaSyntaxError("syntax error", offset, (_ARROW, _EOF))
     return f
 
 
@@ -407,7 +378,13 @@ def uses_empty_coalition(f: Formula) -> bool:
 
 
 def subformulas(f: Formula):
-    """Yield every node of ``f`` (including ``f`` itself), parents first."""
-    yield f
-    for sub in _operands(f):
-        yield from subformulas(sub)
+    """Yield every node of ``f`` (including ``f`` itself), parents first.
+
+    Operands come left to right, each after its whole left sibling; an
+    explicit stack stands in for recursion, so any depth works.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(_operands(g)))

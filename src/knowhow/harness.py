@@ -381,13 +381,13 @@ def _coalitions(agents: frozenset[str], include_empty: bool):
     return out
 
 
-def _history_signature(ets, h: History, members: tuple[str, ...]) -> tuple:
+def _history_signature(h: History, tables: tuple) -> tuple:
     # independent unfolding of per-agent indistinguishability: block ids of
     # the visited states plus the member's own votes, per member
     return tuple(
-        (tuple(ets.block(a, w) for w in h.states),
+        (tuple(table[w] for w in h.states),
          tuple(s[a] for s in h.profiles))
-        for a in members)
+        for a, table in tables)
 
 
 def _check_history_relation(ets, coalition: Coalition, length: int,
@@ -403,10 +403,13 @@ def _check_history_relation(ets, coalition: Coalition, length: int,
     200 + (number of buckets) pairs.
     """
     hs = histories_of_length(ets, length)
-    members = tuple(sorted(coalition))
+    # each member's state -> block-index table, unfolded once per level from
+    # the declared partition ``ets.indist``, not looked up once per state
+    tables = tuple((a, {w: i for i, block in enumerate(ets.indist[a]) for w in block})
+                   for a in sorted(coalition))
     buckets: dict[tuple, list[History]] = {}
     for h in hs:
-        buckets.setdefault(_history_signature(ets, h, members), []).append(h)
+        buckets.setdefault(_history_signature(h, tables), []).append(h)
 
     # decomposition compares prefixes: build each history's prefix once,
     # not once per related pair it takes part in

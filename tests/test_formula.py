@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -157,6 +160,52 @@ def test_subformulas_enumerates_every_node():
     f = parse("!p -> K{a} q")
     names = [type(g).__name__ for g in subformulas(f)]
     assert names == ["Implies", "Not", "Atom", "Know", "Atom"]
+
+
+def test_subformulas_of_a_chain_too_deep_to_recurse():
+    f = Atom("p")
+    for _ in range(2000):
+        f = Not(f)
+    nodes = list(subformulas(f))
+    assert len(nodes) == 2001
+    assert nodes[0] is f and nodes[1] is f.sub and nodes[-1] == Atom("p")
+
+
+PARITY = Path(__file__).parent / "data" / "parse_parity.json"
+
+
+def _outcome(text):
+    try:
+        return "ok: " + str(parse(text))
+    except FormulaSyntaxError as e:
+        return "error: " + str(e)
+
+
+def test_parse_outcomes_match_the_recorded_parser():
+    # the printed tree or the exact error (message, offset, expected set) of
+    # every recorded string, valid and malformed alike
+    cases = json.loads(PARITY.read_text(encoding="utf-8"))["cases"]
+    assert len(cases) > 300
+    assert [(text, _outcome(text)) for text, _ in cases] == [tuple(c) for c in cases]
+
+
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_every_isspace_character_separates_tokens(space):
+    text = space.join(["!", "K", "{", "a", ",", "b", "}", "p", "->", "(", "q", ")"])
+    assert parse(text) == Implies(Not(Know(ab, Atom("p"))), Atom("q"))
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("p" + space + "q")
+    assert (err.value.offset, err.value.expected) == (2, ("'->'", "end of input"))
+
+
+@pytest.mark.parametrize("char", ["\u200b", "\u2060", "\ufeff"])
+def test_invisible_non_space_characters_are_unexpected(char):
+    with pytest.raises(FormulaSyntaxError, match="unexpected character") as err:
+        parse("p ->" + char + "q")
+    assert err.value.offset == 4
 
 
 def coalitions():

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -6,13 +7,14 @@ from knowhow import harness
 from knowhow.checker import Verdict, evaluate
 from knowhow.formula import Atom, Falsum, h_depth, parse, uses_empty_coalition
 from knowhow.harness import (
-    GenParams, GenParamsError, check_equivalence, check_instance, gen_formula,
-    gen_system, instantiate_axiom, lemma_suite, soundness_suite, _rng,
+    GenParams, GenParamsError, LemmaReport, check_equivalence, check_instance,
+    gen_formula, gen_system, instantiate_axiom, lemma_suite, soundness_suite,
+    _check_history_relation, _coalitions, _rng,
 )
 from knowhow.proofkit import AxiomName, match_axiom
 from knowhow.system import (
-    MAX_PROFILES, check_regular, hist_indist, histories_of_length,
-    profile_agrees, state_indist,
+    MAX_PROFILES, EpistemicTransitionSystem, check_regular, hist_indist,
+    histories_of_length, profile_agrees, state_indist,
 )
 
 
@@ -137,6 +139,25 @@ def test_lemma_suite_counts_are_pinned(seed, relation_checks, property_checks):
     assert report.failures == []
     assert report.relation_checks == relation_checks
     assert report.property_checks == property_checks
+
+
+def test_history_signatures_read_no_block_through_the_validating_lookup(monkeypatch):
+    # each member's block table is unfolded once per level from ets.indist,
+    # not looked up through ets.block once per state and member
+    params = GenParams(seed=4)
+    ets = gen_system(params)
+
+    def block(self, agent, state):
+        raise AssertionError("ets.block called")
+
+    monkeypatch.setattr(EpistemicTransitionSystem, "block", block)
+    report = LemmaReport(params)
+    rng = random.Random(0)
+    for coalition in _coalitions(ets.agents, include_empty=False):
+        for n in range(params.history_depth + 1):
+            _check_history_relation(ets, coalition, n, rng, report, "signature")
+    assert report.relation_checks > 0
+    assert report.failures == []
 
 
 def _relation_without(part):
