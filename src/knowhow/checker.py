@@ -20,13 +20,34 @@ histories and filters with ``hist_indist``, and never touches the types
 (nor does the harness's history signature).  Both meet histories, and
 profiles, in the same order; they must agree everywhere, witness included.
 
+Types step along indexed moves.  A move of state ``w`` is an index into
+``ets.successors(w)``, and ``_Types.step(t, i)`` is memoized on the pair of
+ints.  Once per evaluation and coalition, a ``_View`` numbers what C sees
+of each move (its votes by C and C's look of its target) and groups each
+state's moves by that number, in successor order; so a step visits only the
+members' moves in the group of its own move, and compares no profiles.
+
 Empty-coalition modalities quantify over histories of every length, so both
 implementations cap the enumeration at a caller supplied horizon.
 ``evaluate`` walks the levels once per (body, minimum length), keeping the
-first refuting history, or None when the walk ran out of horizon and the
-verdict is ``bounded``; the top-level counterexample is read from that memo.
-Refutations are exact.  Formulas built in code past ``MAX_NESTING`` raise
-``NestingError`` up front.
+first refuting history, or None when the walk found none and the verdict is
+``bounded``; the top-level counterexample is read from that memo.  A level
+keeps, per body type, a back-pointer to the first history of that type (its
+parent's path and the move), and only the history returned is built.
+
+The walk closes, by van der Meyden's k-tree argument for perfect recall
+(Information and Computation, 1998).  Let ``T_n`` be the body types at
+level n.  ``T_{n+1}`` is the image of ``T_n`` under ``step``, and images
+distribute over unions.  Let ``S`` be the union of ``T_k`` for
+``min_length <= k <= n``; if ``T_{n+1}`` lies in ``S``, then so does the
+image of ``S``, hence every later level.  Each type of ``S`` was decided
+when it first appeared, and a type fixes the body's value whatever the
+history's length (an inner ``K{}``/``H{}`` is one constant per evaluation),
+so no later level refutes: the walk returns None at the first level at or
+past ``min_length`` that brings no undecided type, whatever the horizon.
+The verdict is the one the whole walk would give, so ``bounded`` keeps its
+meaning.  Refutations are exact.  Formulas built in code past
+``MAX_NESTING`` raise ``NestingError`` up front.
 """
 from __future__ import annotations
 
@@ -107,6 +128,41 @@ def _check_preconditions(ets: EpistemicTransitionSystem, h: History,
     return 0
 
 
+class _View:
+    """What coalition C sees of each move, built once per evaluation.
+
+    A move of state ``w`` is an index into ``ets.successors(w)``.
+    ``look[w]`` holds C's blocks of ``w``: two states are alike to C iff
+    their looks are equal.  ``sees[w][i]`` numbers what C sees of move
+    ``i``, its votes by C and the look of its target, so two moves are
+    alike to C iff their numbers are equal; ``alike[w]`` maps each number
+    to the moves of ``w`` that carry it, in successor order.
+    ``picks[w][i]`` is the position of move ``i``'s votes in ``profiles``,
+    which is ``profiles_over(C)``.
+    """
+
+    def __init__(self, ets: EpistemicTransitionSystem, states: list[str],
+                 coalition: Coalition):
+        members = sorted(coalition)
+        self.look = {w: tuple(ets.block(a, w) for a in members) for w in states}
+        self.profiles = ets.profiles_over(coalition)
+        position = {s.votes: p for p, s in enumerate(self.profiles)}
+        votes = ets.votes_of(coalition)
+        numbers: dict[tuple, int] = {}
+        self.sees: dict[str, list[int]] = {}
+        self.alike: dict[str, dict[int, list[int]]] = {}
+        self.picks: dict[str, list[int]] = {}
+        for w in states:
+            sees, alike, picks = [], {}, []
+            self.sees[w], self.alike[w], self.picks[w] = sees, alike, picks
+            for i, (s, v) in enumerate(ets.successors(w)):
+                vote = votes[s]
+                seen = numbers.setdefault((vote, self.look[v]), len(numbers))
+                sees.append(seen)
+                alike.setdefault(seen, []).append(i)
+                picks.append(position[vote])
+
+
 class _Types:
     """The knowledge types of one evaluation, interned as ints.
 
@@ -115,6 +171,7 @@ class _Types:
     histories C cannot tell apart from the typed one, in the level order of
     their first history.  So a type names its own nodes, and every
     subformula that ``f`` reaches through ``!`` and ``->`` is decided on it.
+    A history steps along a move, an index into its head's successors.
     """
 
     def __init__(self, ets: EpistemicTransitionSystem):
@@ -124,8 +181,8 @@ class _Types:
         self.ids: dict[tuple, int] = {}
         self.modal: dict[Formula, dict[Formula, None]] = {}
         self.roots: dict[tuple[Formula, str], int] = {}
-        self.steps: dict[tuple[int, Profile, str], int] = {}
-        self.looks: dict[Coalition, dict[str, tuple[int, ...]]] = {}
+        self.steps: dict[tuple[int, int], int] = {}
+        self.views: dict[Coalition, _View] = {}
 
     def intern(self, head: str, members: dict[Formula, tuple[int, ...]]) -> int:
         key = (head, tuple(members.items()))
@@ -150,51 +207,52 @@ class _Types:
                         found[g] = None
         return self.modal[f]
 
-    def look(self, coalition: Coalition) -> dict[str, tuple[int, ...]]:
-        """Each state's blocks for the members: alike to C iff equal."""
-        if coalition not in self.looks:
-            members = sorted(coalition)
-            self.looks[coalition] = {w: tuple(self.ets.block(a, w) for a in members)
-                                     for w in self.states}
-        return self.looks[coalition]
+    def view(self, coalition: Coalition) -> _View:
+        """The coalition's :class:`_View`, built on first use."""
+        if coalition not in self.views:
+            self.views[coalition] = _View(self.ets, self.states, coalition)
+        return self.views[coalition]
 
     def root(self, f: Formula, w: str) -> int:
         """The ``f``-type of the length-0 history ``w``."""
         if (f, w) not in self.roots:
             members = {}
             for node in self.nodes(f):
-                look = self.look(node.coalition)
+                look = self.view(node.coalition).look
                 members[node] = tuple(dict.fromkeys(
                     self.root(node.sub, v) for v in self.states if look[v] == look[w]))
             self.roots[(f, w)] = self.intern(w, members)
         return self.roots[(f, w)]
 
-    def step(self, t: int, s: Profile, w: str) -> int:
-        """The type of ``g.extend(s, w)`` for a history ``g`` of type ``t``.
+    def step(self, t: int, i: int) -> int:
+        """The type of ``g`` extended by move ``i`` of its head, for a
+        history ``g`` of type ``t``.
 
         By the decomposition lemma, the histories C cannot tell apart from
-        ``g.extend(s, w)`` are the successors of the members' histories
-        whose votes agree with ``s`` on C and whose heads look like ``w``
-        to C.
+        the extension are the members' histories extended by the moves that
+        C sees as it sees move ``i``.
         """
-        key = (t, s, w)
-        if key not in self.steps:
+        u = self.steps.get((t, i))
+        if u is None:
+            types = self.types
+            head, old_members = types[t]
             members = {}
-            for node, old in self.types[t][1].items():
-                votes, look = self.ets.votes_of(node.coalition), self.look(node.coalition)
-                alike = (votes[s], look[w])
-                members[node] = tuple(dict.fromkeys(
-                    self.step(m, s2, w2) for m in old
-                    for s2, w2 in self.ets.successors(self.types[m][0])
-                    if (votes[s2], look[w2]) == alike))
-            self.steps[key] = self.intern(w, members)
-        return self.steps[key]
+            for node, old in old_members.items():
+                view = self.view(node.coalition)
+                seen, alike = view.sees[head][i], view.alike
+                found: dict[int, None] = {}
+                for m in old:
+                    for j in alike[types[m][0]].get(seen, ()):
+                        found[self.step(m, j)] = None
+                members[node] = tuple(found)
+            u = self.steps[(t, i)] = self.intern(self.ets.successors(head)[i][1], members)
+        return u
 
     def of(self, f: Formula, h: History) -> int:
         """The ``f``-type of ``h``, folded along its path."""
         t = self.root(f, h.states[0])
-        for s, w in zip(h.profiles, h.states[1:]):
-            t = self.step(t, s, w)
+        for head, s, w in zip(h.states, h.profiles, h.states[1:]):
+            t = self.step(t, self.ets.successors(head).index((s, w)))
         return t
 
 
@@ -240,15 +298,15 @@ class _Evaluator:
         coalition, the empty profile exactly when ``H{} body`` holds."""
         if not node.coalition:
             return Profile(()) if self.refutation(node.sub, 1) is None else None
-        ets, types = self.ets, self.types
-        votes = ets.votes_of(node.coalition)
+        types = self.types
+        view = types.view(node.coalition)
         # the members' successor types, grouped by the coalition's votes
-        forced: dict[tuple, dict[int, None]] = {}
+        forced: dict[int, dict[int, None]] = {}
         for m in members:
-            for s, w in ets.successors(types.types[m][0]):
-                forced.setdefault(votes[s], {})[types.step(m, s, w)] = None
-        for s in ets.profiles_over(node.coalition):
-            if all(self.value(node.sub, t) for t in forced.get(s.votes, ())):
+            for i, p in enumerate(view.picks[types.types[m][0]]):
+                forced.setdefault(p, {})[types.step(m, i)] = None
+        for p, s in enumerate(view.profiles):
+            if all(self.value(node.sub, t) for t in forced.get(p, ())):
                 return s
         return None
 
@@ -268,24 +326,46 @@ class _Evaluator:
         """The first history in level order, of a length from ``min_length``
         to the horizon, where ``body`` fails; None if there is none.
 
-        A level keeps the first history of each body type, and the next
-        level steps from those in successor order: a later history of the
-        same type has later successors of the same types.
+        A level maps each body type to the path of its first history: a
+        root state, or ``(parent path, move)``.  The next level steps from
+        those in successor order, since a later history of the same type
+        has later successors of the same types.  The walk stops once a
+        level at or past ``min_length`` brings no undecided type: no later
+        level can (see the module docstring).
         """
-        level: dict[int, History] = {}
-        for g in histories_of_length(self.ets, 0):
-            level.setdefault(self.types.root(body, g.head), g)
+        types = self.types
+        level: dict[int, object] = {}
+        for w in types.states:
+            level.setdefault(types.root(body, w), w)
+        decided: set[int] = set()
         for n in range(self.horizon + 1):
             if n:
                 prev, level = level, {}
-                for t, g in prev.items():
-                    for s, w in self.ets.successors(g.head):
-                        level.setdefault(self.types.step(t, s, w), g.extend(s, w))
+                for t, path in prev.items():
+                    for i in range(len(self.ets.successors(types.types[t][0]))):
+                        u = types.step(t, i)
+                        if u not in level:
+                            level[u] = (path, i)
             if n >= min_length:
-                for t, g in level.items():
+                fresh = [t for t in level if t not in decided]
+                if not fresh:
+                    return None
+                for t in fresh:
                     if not self.value(body, t):
-                        return g
+                        return self._history(level[t])
+                decided.update(fresh)
         return None
+
+    def _history(self, path) -> History:
+        """The history a walk path names."""
+        moves = []
+        while isinstance(path, tuple):
+            path, i = path
+            moves.append(i)
+        h = History((path,), ())
+        for i in reversed(moves):
+            h = h.extend(*self.ets.successors(h.head)[i])
+        return h
 
 
 def evaluate(ets: EpistemicTransitionSystem, h: History, f: Formula,

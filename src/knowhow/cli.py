@@ -35,15 +35,15 @@ def _cmd_check(args) -> int:
     ets = load_system(_read(args.system))
     h = parse_history(ets, args.history)
     f = parse(args.formula)
-    horizon = args.horizon
-    if horizon is None and uses_empty_coalition(f):
+    horizon, empty = args.horizon, uses_empty_coalition(f)
+    if horizon is None and empty:
         horizon = h.length + h_depth(f) + 2  # never silently bounded; see report
     verdict = (witness(ets, h, f.coalition, f.sub, horizon) if isinstance(f, How)
                else evaluate(ets, h, f, horizon))
     print(f"formula: {f}")
     print(f"history: {h}")
     print(f"verdict: {verdict.value}")
-    if uses_empty_coalition(f):
+    if empty:
         print(f"horizon: {verdict.horizon_used}")
         print(f"bounded: {'yes' if verdict.bounded else 'no'}")
     else:

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping
 from .formula import Coalition, IDENT_RE
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
+TRANS_RE = re.compile(r"trans\s+(\S+)\s+\[([^\]]*)\]\s+(\S+)")
 
 
 class ModelFormatError(ValueError):
@@ -210,6 +211,7 @@ class EpistemicTransitionSystem:
         if not self.choices:
             raise ModelFormatError("system needs at least one choice")
         check_profile_count(len(self.agents), len(self.choices))
+        self._complete_profiles = self.profiles_over(self.agents)
 
         self._block: dict[str, dict[str, int]] = {}
         self.indist: dict[str, tuple[frozenset[str], ...]] = {}
@@ -237,18 +239,21 @@ class EpistemicTransitionSystem:
                     table[w] = idx
             self._block[agent] = table
 
+        # a complete profile passes the agent and choice checks below
+        complete = set(self._complete_profiles)
         triples = set()
         for w1, profile, w2 in mechanism:
             if w1 not in self.states or w2 not in self.states:
                 bad = w1 if w1 not in self.states else w2
                 raise ModelFormatError(f"transition names undeclared state {bad!r}")
-            if profile.agents != self.agents:
-                raise ModelFormatError(
-                    f"transition profile {profile} is not over the declared agents")
-            for _, choice in profile.votes:
-                if choice not in self.choices:
+            if profile not in complete:
+                if profile.agents != self.agents:
                     raise ModelFormatError(
-                        f"transition uses undeclared choice {choice!r}")
+                        f"transition profile {profile} is not over the declared agents")
+                for _, choice in profile.votes:
+                    if choice not in self.choices:
+                        raise ModelFormatError(
+                            f"transition uses undeclared choice {choice!r}")
             triples.add((w1, profile, w2))
         self.mechanism: frozenset[tuple[str, Profile, str]] = frozenset(triples)
 
@@ -269,7 +274,6 @@ class EpistemicTransitionSystem:
             by_state[w1].append((profile, w2))
         for w, out in by_state.items():
             self._succ[w] = tuple(sorted(out))
-        self._complete_profiles = self.profiles_over(self.agents)
         self._levels: list[tuple[History, ...]] = []
         self._votes: dict[Coalition, dict[Profile, tuple[tuple[str, str], ...]]] = {}
         self._regular: bool | None = None
@@ -443,6 +447,28 @@ def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
     return history
 
 
+def _pattern_constraints(pattern: str, agent_set: set[str], choice_set: set[str],
+                         line_no: int) -> dict[str, str]:
+    """The ``agent=choice`` entries of a ``trans`` pattern, validated."""
+    constraints: dict[str, str] = {}
+    if pattern:
+        for item in pattern.split(","):
+            item = item.strip()
+            if "=" not in item:
+                raise ModelFormatError(
+                    f"bad pattern entry {item!r}, expected agent=choice", line_no)
+            agent, _, choice = item.partition("=")
+            agent, choice = agent.strip(), choice.strip()
+            if agent not in agent_set:
+                raise ModelFormatError(f"undeclared agent {agent!r}", line_no)
+            if choice not in choice_set:
+                raise ModelFormatError(f"undeclared choice {choice!r}", line_no)
+            if agent in constraints:
+                raise ModelFormatError(f"agent {agent!r} constrained twice", line_no)
+            constraints[agent] = choice
+    return constraints
+
+
 def _expand_pattern(sys_agents: list[str], choices: list[str],
                     constraints: dict[str, str]) -> list[Profile]:
     free = [a for a in sys_agents if a not in constraints]
@@ -505,6 +531,7 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
     indist_blocks: dict[str, list[list[str]]] = {a: [] for a in agents}
     valuation: dict[str, set[str]] = {}
     mechanism: list[tuple[str, Profile, str]] = []
+    expansions: dict[str, list[Profile]] = {}  # each distinct pattern once
 
     for line_no, line in rest:
         if line.startswith("indist "):
@@ -534,7 +561,7 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
                     raise ModelFormatError(f"undeclared state {w!r}", line_no)
                 valuation.setdefault(prop, set()).add(w)
         elif line.startswith("trans "):
-            m = re.fullmatch(r"trans\s+(\S+)\s+\[([^\]]*)\]\s+(\S+)", line)
+            m = TRANS_RE.fullmatch(line)
             if not m:
                 raise ModelFormatError(
                     "expected 'trans STATE [pattern] STATE'", line_no)
@@ -542,26 +569,12 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
             for w in (w1, w2):
                 if w not in state_set:
                     raise ModelFormatError(f"undeclared state {w!r}", line_no)
-            constraints: dict[str, str] = {}
-            if pattern:
-                for item in pattern.split(","):
-                    item = item.strip()
-                    if "=" not in item:
-                        raise ModelFormatError(
-                            f"bad pattern entry {item!r}, expected agent=choice",
-                            line_no)
-                    agent, _, choice = item.partition("=")
-                    agent, choice = agent.strip(), choice.strip()
-                    if agent not in agent_set:
-                        raise ModelFormatError(f"undeclared agent {agent!r}", line_no)
-                    if choice not in choice_set:
-                        raise ModelFormatError(f"undeclared choice {choice!r}", line_no)
-                    if agent in constraints:
-                        raise ModelFormatError(
-                            f"agent {agent!r} constrained twice", line_no)
-                    constraints[agent] = choice
-            for profile in _expand_pattern(agents, choices, constraints):
-                mechanism.append((w1, profile, w2))
+            profiles = expansions.get(pattern)
+            if profiles is None:
+                profiles = expansions[pattern] = _expand_pattern(
+                    agents, choices,
+                    _pattern_constraints(pattern, agent_set, choice_set, line_no))
+            mechanism += [(w1, profile, w2) for profile in profiles]
         else:
             raise ModelFormatError(f"unrecognized line {line!r}", line_no)
 

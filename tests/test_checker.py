@@ -367,3 +367,104 @@ def test_countdown_goals_are_bounded_until_refuted():
             refuted = horizon >= 2
             assert verdict.bounded is not refuted
             assert verdict.value is (refuted if isinstance(f, Not) else not refuted)
+
+
+def _countdown(n: int) -> str:
+    """A count from ``n`` down to 0 kept in the state, one move per state,
+    beside a loop at ``z``.
+
+    Agent a cannot tell the counting states apart and agent b tells all
+    states apart, so every history of length k from ``c{j}`` ends in
+    ``c{max(j - k, 0)}`` and ``K{a} p`` (``p`` only at ``c0``) holds there
+    exactly from length n on.  The histories that stay in ``z`` keep one
+    type at every length, so each level repeats a type beside its new ones.
+    """
+    counts = " ".join(f"c{k}" for k in range(n + 1))
+    lines = ["agents: a b", "choices: 0", f"states: {counts} z",
+             f"indist a: {counts}", "valuation p: c0", "trans c0 [] c0",
+             "trans z [] z"]
+    lines += [f"trans c{k} [] c{k - 1}" for k in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
+# (goal, first refuting level as a function of the count n); the first
+# refutation sits at the last level a walk to that horizon reaches
+LATE_REFUTATIONS = [
+    ("K{} !K{a} p", lambda n: n),
+    ("H{} !K{a} p", lambda n: n),
+    ("!H{} !K{a} p", lambda n: n),
+    ("K{} (K{b} p -> !K{a} p)", lambda n: n),
+    ("K{} !H{a} K{a} p", lambda n: n - 1),
+    ("H{} !K{b} H{b} K{a} p", lambda n: n - 1),
+]
+# goals no level refutes; their walks close once the count has run out
+CLOSING = ["K{} (K{a} p -> p)", "H{} (K{b} p -> !K{a} !p)",
+           "K{} H{a} (K{a} p -> K{b} p)", "!H{} K{} (p -> K{b} p)",
+           "K{b} H{} (K{a} !p -> !p)"]
+
+
+def _countdown_anchors(ets, n):
+    return [parse_history(ets, f"c{n}"), parse_history(ets, f"c{n} ; a=0,b=0 ; c{n - 1}")]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_refutation_at_the_horizon_is_found_as_the_oracle_finds_it(n):
+    # closing the walk must not stop it short of a refutation at its last
+    # level, and the history rebuilt from back-pointers is the oracle's
+    ets = load_system(_countdown(n))
+    refuted = 0
+    for text, level in LATE_REFUTATIONS:
+        f = parse(text)
+        for h in _countdown_anchors(ets, n):
+            floor = h.length + h_depth(f)
+            for horizon in (level(n), level(n) - 1):
+                if horizon < floor:
+                    continue
+                verdict = evaluate(ets, h, f, horizon)
+                assert verdict == evaluate_naive(ets, h, f, horizon), (text, str(h), horizon)
+                assert verdict.bounded is (horizon < level(n))
+                if verdict.counterexample is not None:
+                    assert verdict.counterexample.length == level(n)
+                    refuted += 1
+    assert refuted > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_closed_walk_gives_the_oracle_verdict_and_keeps_it(n):
+    ets = load_system(_countdown(n))
+    for text in CLOSING:
+        f = parse(text)
+        for h in _countdown_anchors(ets, n):
+            horizon = max(n + 2, h.length + h_depth(f))
+            verdict = evaluate(ets, h, f, horizon)
+            assert verdict == evaluate_naive(ets, h, f, horizon), (text, str(h))
+            assert verdict.bounded
+            wider = evaluate(ets, h, f, horizon + 3)
+            assert wider == replace(verdict, horizon_used=horizon + 3), (text, str(h))
+
+
+def test_a_closed_walk_steps_as_often_at_any_horizon(t1, monkeypatch):
+    # the walk stops at its closing level, so a larger horizon neither
+    # types more steps nor looks more up
+    built, calls = [], []
+    init, step = checker._Evaluator.__init__, checker._Types.step
+
+    def keeping(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting(self, t, i):
+        calls[-1] += 1
+        return step(self, t, i)
+
+    monkeypatch.setattr(checker._Evaluator, "__init__", keeping)
+    monkeypatch.setattr(checker._Types, "step", counting)
+    f, h = parse("H{} (K{a} p -> p)"), parse_history(t1, "w0")
+    misses = []
+    for horizon in (50, 5000):
+        calls.append(0)
+        verdict = evaluate(t1, h, f, horizon)
+        assert (verdict.value, verdict.bounded) == (True, True)
+        misses.append(len(built[-1].types.steps))
+    assert misses[0] == misses[1] > 0
+    assert calls[0] == calls[1]

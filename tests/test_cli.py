@@ -80,6 +80,23 @@ def test_check_reports_counterexample(t1_path, capsys):
     assert "bounded: no" in out
 
 
+def test_a_closed_walk_answers_as_fast_at_any_horizon(t1_path, capsys):
+    # the walk stops once a level brings no new type, so the horizon only
+    # changes the reported horizon
+    def check(horizon):
+        code = main(["check", "--system", t1_path, "--history", "w0",
+                     "--formula", "H{} (K{a} p -> p)", "--horizon", str(horizon)])
+        return code, capsys.readouterr().out
+
+    near = check(1000)
+    start = time.perf_counter()
+    code, out = check(10**6)
+    assert time.perf_counter() - start < 1.0
+    assert "bounded: yes\n" in near[1]
+    assert (code, out.replace("horizon: 1000000\n", "horizon: 1000\n")) == near
+    assert near[0] == 0
+
+
 def test_check_bad_formula_is_usage_error(t1_path, capsys):
     code = main(["check", "--system", t1_path,
                  "--history", "w2", "--formula", "p ->"])

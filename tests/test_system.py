@@ -1,4 +1,7 @@
+import importlib
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
@@ -351,3 +354,67 @@ trans w1 [] w1
     for profile in ets.complete_profiles:
         expected = {"w0", "w1"} if profile["a"] == "0" else {"w1"}
         assert succ[profile] == expected
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _listed_mechanism(text):
+    """Each ``trans`` line's profiles, expanded here without the loader."""
+    decls = dict(line.split(":", 1) for line in text.splitlines()
+                 if line.split(":")[0] in ("agents", "choices"))
+    agents, choices = decls["agents"].split(), decls["choices"].split()
+    triples = set()
+    for line in text.splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("trans"):
+            w1, pattern, w2 = re.fullmatch(
+                r"trans\s+(\S+)\s+\[(.*)\]\s+(\S+)\s*", line).groups()
+            fixed = dict(item.replace(" ", "").split("=")
+                         for item in pattern.split(",") if item.strip())
+            for combo in itertools.product(choices, repeat=len(agents)):
+                votes = dict(zip(agents, combo))
+                if fixed.items() <= votes.items():
+                    triples.add((w1, Profile.of(votes), w2))
+    return triples
+
+
+def _workload_model_texts(monkeypatch):
+    # the benchmark's generator imports nothing from knowhow
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen, workloads = importlib.import_module("gen"), importlib.import_module("workloads")
+    for inputs in (workloads.check_inputs, workloads.horizon_inputs):
+        for seed in (1, 2, 3):
+            models, _ = inputs(seed, 1.0)
+            yield from map(gen.model_text, models)
+
+
+def test_models_load_to_the_transitions_they_list(monkeypatch):
+    texts = [fixture_text("t1"), fixture_text("t2"),
+             *_workload_model_texts(monkeypatch)]
+    assert len(texts) == 2 + 3 * (32 + 64)
+    for text in texts:
+        ets = load_system(text)
+        listed = _listed_mechanism(text)
+        assert ets.mechanism == listed
+        for w in ets.states:
+            assert ets.successors(w) == tuple(sorted(
+                (s, w2) for w1, s, w2 in listed if w1 == w))
+
+
+def test_transition_diagnostics_keep_their_text():
+    agents, states, choices = ["a", "b"], ["w0"], ["0", "1"]
+    for profile, message in (
+            (Profile.of({"a": "0"}), "transition profile a=0 is not over the declared agents"),
+            (Profile.of({"a": "0", "b": "2"}), "transition uses undeclared choice '2'")):
+        with pytest.raises(ModelFormatError) as err:
+            EpistemicTransitionSystem(agents, states, choices, {},
+                                      [("w0", profile, "w0")], {})
+        assert str(err.value) == message
+    base = "agents: a b\nchoices: 0 1\nstates: w0\ntrans w0 [a=0] w0\n"
+    for line, message in (("trans w0 [c=0] w0", "undeclared agent 'c'"),
+                          ("trans w0 [a=2] w0", "undeclared choice '2'"),
+                          ("trans w9 [a=0] w0", "undeclared state 'w9'")):
+        with pytest.raises(ModelFormatError) as err:
+            load_system(base + line + "\n")
+        assert str(err.value) == f"line 5: {message}"
