@@ -13,8 +13,7 @@ from .system import (
     load_system, parse_history, profile_agrees, state_indist,
 )
 from .checker import (
-    ClaimResult, HorizonError, RegularityError, Verdict, check_claim,
-    evaluate, evaluate_naive, witness,
+    HorizonError, RegularityError, Verdict, evaluate, evaluate_naive, witness,
 )
 from .proofkit import (
     AxiomName, Derivation, ProofFormatError, VerifyResult,
@@ -27,12 +26,12 @@ from .fixtures import load_fixture, run_claims
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "AxiomName", "ClaimResult", "Coalition", "Derivation",
+    "Atom", "AxiomName", "Coalition", "Derivation",
     "EpistemicTransitionSystem", "Falsum", "Formula", "FormulaSyntaxError",
     "GenParams", "History", "HorizonError", "How", "Implies",
     "InvalidHistoryError", "Know", "ModelFormatError", "NestingError", "Not",
     "Profile", "ProofFormatError", "RegularityError", "Verdict",
-    "VerifyResult", "check_claim", "check_regular",
+    "VerifyResult", "check_regular",
     "derive_k_superdistributivity_instance",
     "derive_superdistributivity_instance", "evaluate", "evaluate_naive",
     "extensions", "format_formula", "gen_formula", "gen_system", "h_depth",

@@ -95,18 +95,6 @@ class Verdict:
         return self.value
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    history: History
-    formula: Formula
-    expected: bool
-    verdict: Verdict
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict.value == self.expected
-
-
 def _check_preconditions(ets: EpistemicTransitionSystem, h: History,
                          f: Formula, horizon: int | None) -> int:
     validate_history(ets, h)
@@ -474,9 +462,3 @@ def witness(ets: EpistemicTransitionSystem, h: History, coalition: Coalition,
     the witness profile, or None when the coalition has no way to force the
     body."""
     return evaluate(ets, h, How(coalition, body), horizon)
-
-
-def check_claim(ets: EpistemicTransitionSystem, h: History, f: Formula,
-                expected: bool, horizon: int | None = None) -> ClaimResult:
-    """Evaluate and compare against an expected truth value."""
-    return ClaimResult(h, f, expected, evaluate(ets, h, f, horizon))

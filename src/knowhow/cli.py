@@ -70,10 +70,11 @@ def _cmd_examples(args) -> int:
     claims = FIXTURES[args.fixture][1]
     passed = 0
     for claim, results in run_claims(ets, claims):
-        ok = all(r.passed for r in results)
+        ok = all(verdict.value == expected
+                 for (_, _, verdict), (_, _, expected) in zip(results, claim.checks))
         passed += ok
         detail = "; ".join(
-            f"({r.history}) |- {r.formula} -> {r.verdict.value}" for r in results)
+            f"({h}) |- {f} -> {verdict.value}" for h, f, verdict in results)
         print(f"{'PASS' if ok else 'FAIL'}  {claim.label}: {detail}")
     print(f"{passed}/{len(claims)} claims pass")
     return 0 if passed == len(claims) else 1
@@ -167,7 +168,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (FormulaSyntaxError, ModelFormatError, InvalidHistoryError, ProofFormatError,
-            OpaqueLimitError, HorizonError, GenParamsError, OSError) as e:
+            OpaqueLimitError, HorizonError, GenParamsError, OSError,
+            UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .checker import ClaimResult, check_claim
-from .formula import parse
-from .system import EpistemicTransitionSystem, load_system, parse_history
+from .checker import Verdict, evaluate
+from .formula import Formula, parse
+from .system import EpistemicTransitionSystem, History, load_system, parse_history
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,14 @@ def proof_text(filename: str) -> str:
     return resources.files("knowhow").joinpath("data", "proofs", filename).read_text()
 
 
-def run_claims(ets: EpistemicTransitionSystem, claims: tuple[Claim, ...],
-               horizon: int | None = None) -> list[tuple[Claim, list[ClaimResult]]]:
+def run_claims(ets: EpistemicTransitionSystem, claims: tuple[Claim, ...]
+               ) -> list[tuple[Claim, list[tuple[History, Formula, Verdict]]]]:
+    """Each claim with the history, formula and verdict of each of its checks."""
     out = []
     for claim in claims:
-        results = [
-            check_claim(ets, parse_history(ets, literal), parse(text), expected,
-                        horizon)
-            for literal, text, expected in claim.checks]
+        results = []
+        for literal, text, _ in claim.checks:
+            h, f = parse_history(ets, literal), parse(text)
+            results.append((h, f, evaluate(ets, h, f)))
         out.append((claim, results))
     return out

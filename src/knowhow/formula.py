@@ -375,16 +375,3 @@ def uses_empty_coalition(f: Formula) -> bool:
     """True iff some K or H node in ``f`` carries the empty coalition."""
     return _fold(f, lambda g, used: any(used) or (
         isinstance(g, (Know, How)) and not g.coalition))
-
-
-def subformulas(f: Formula):
-    """Yield every node of ``f`` (including ``f`` itself), parents first.
-
-    Operands come left to right, each after its whole left sibling; an
-    explicit stack stands in for recursion, so any depth works.
-    """
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        stack.extend(reversed(_operands(g)))

@@ -338,12 +338,17 @@ class ProofFormatError(ValueError):
         super().__init__(message)
 
 
+# One named group per justification form, named after it: ``taut`` matches
+# empty, and ``axiom``, ``mp``, ``nec`` and ``hyp`` hold the axiom name, the
+# antecedent line, the rule and the label.  A justification may not start
+# inside an identifier, so ``q -> qtaut`` cuts no ``taut`` from ``qtaut``.
 _JUST_RE = re.compile(
-    r"(?P<just>taut"
-    r"|axiom\s+[A-Za-z]+"
-    r"|mp\s+\d+\s+\d+"
-    r"|s?nec\{[^}]*\}\s+\d+"
-    r"|hyp\s+[A-Za-z_][A-Za-z0-9_']*)\s*$")
+    r"(?<![A-Za-z0-9_'])"
+    r"(?:taut(?P<taut>)"
+    r"|axiom\s+(?P<axiom>[A-Za-z]+)"
+    r"|mp\s+(?P<mp>\d+)\s+(?P<implication>\d+)"
+    r"|(?P<nec>s?nec)\{(?P<coalition>[^}]*)\}\s+(?P<premise>\d+)"
+    r"|hyp\s+(?P<hyp>[A-Za-z_][A-Za-z0-9_']*))\s*$")
 
 
 def _parse_coalition_body(body: str, line_no: int) -> Coalition:
@@ -359,32 +364,25 @@ def _parse_coalition_body(body: str, line_no: int) -> Coalition:
     return frozenset(members)
 
 
-def _parse_justification(text: str, labels: dict[str, int],
-                         line_no: int) -> Justification:
-    text = text.strip()
-    if text == "taut":
+def _justification(m: re.Match, labels: dict[str, int], line_no: int) -> Justification:
+    """The justification that a ``_JUST_RE`` match names."""
+    if m["taut"] is not None:
         return Tautology()
-    m = re.fullmatch(r"axiom\s+([A-Za-z]+)", text)
-    if m:
-        name = m.group(1)
+    if m["axiom"]:
+        name = m["axiom"]
         if name not in _AXIOM_BY_NAME:
             raise ProofFormatError(f"unknown axiom {name!r}", line_no)
         return AxiomInstance(_AXIOM_BY_NAME[name])
-    m = re.fullmatch(r"mp\s+(\d+)\s+(\d+)", text)
-    if m:
-        return ModusPonens(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"(s?nec)\{([^}]*)\}\s+(\d+)", text)
-    if m:
-        coalition = _parse_coalition_body(m.group(2), line_no)
-        cls = Necessitation if m.group(1) == "nec" else StrategicNecessitation
-        return cls(int(m.group(3)), coalition)
-    m = re.fullmatch(r"hyp\s+(\S+)", text)
-    if m:
-        label = m.group(1)
-        if label not in labels:
-            raise ProofFormatError(f"unknown hypothesis label {label!r}", line_no)
-        return Hypothesis(labels[label], label)
-    raise ProofFormatError(f"unrecognized justification {text!r}", line_no)
+    if m["mp"]:
+        return ModusPonens(int(m["mp"]), int(m["implication"]))
+    if m["nec"]:
+        coalition = _parse_coalition_body(m["coalition"], line_no)
+        cls = Necessitation if m["nec"] == "nec" else StrategicNecessitation
+        return cls(int(m["premise"]), coalition)
+    label = m["hyp"]
+    if label not in labels:
+        raise ProofFormatError(f"unknown hypothesis label {label!r}", line_no)
+    return Hypothesis(labels[label], label)
 
 
 def parse_derivation(text: str) -> Derivation:
@@ -429,7 +427,7 @@ def parse_derivation(text: str) -> Derivation:
             hypotheses.append((label, f))
         elif section == "lines":
             number, colon, body = stripped.partition(":")
-            if not colon or not number.strip().isdigit():
+            if not colon or not number.strip().isdecimal():
                 raise ProofFormatError("expected 'N: formula justification'", line_no)
             if int(number) != len(lines) + 1:
                 raise ProofFormatError(
@@ -442,7 +440,7 @@ def parse_derivation(text: str) -> Derivation:
                 f = parse(body[:m.start()])
             except FormulaSyntaxError as e:
                 raise ProofFormatError(f"bad formula: {e}", line_no) from e
-            lines.append(Line(f, _parse_justification(m.group("just"), labels, line_no)))
+            lines.append(Line(f, _justification(m, labels, line_no)))
         else:
             raise ProofFormatError(f"unexpected content {stripped!r}", line_no)
     if goal is None:

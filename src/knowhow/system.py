@@ -94,18 +94,9 @@ class Profile:
     def __getitem__(self, agent: str) -> str:
         return self._choice[agent]
 
-    def __contains__(self, agent: str) -> bool:
-        return agent in self._choice
-
     @property
     def agents(self) -> Coalition:
         return frozenset(a for a, _ in self.votes)
-
-    def restrict(self, coalition: Coalition) -> "Profile":
-        missing = coalition - self.agents
-        if missing:
-            raise KeyError(sorted(missing)[0])
-        return Profile(tuple(p for p in self.votes if p[0] in coalition))
 
     def __str__(self) -> str:
         return ",".join(f"{a}={c}" for a, c in self.votes)
@@ -294,9 +285,9 @@ class EpistemicTransitionSystem:
     def votes_of(self, coalition: Coalition) -> dict[Profile, tuple[tuple[str, str], ...]]:
         """Each complete profile's votes by the coalition's members.
 
-        The votes of ``s`` are the ``votes`` of ``s.restrict(coalition)``, so
-        they equal those of exactly one profile of ``profiles_over``.  Built
-        once per coalition.
+        The votes of ``s`` are its ``(agent, choice)`` pairs for the members,
+        so they equal those of exactly one profile of ``profiles_over``.
+        Built once per coalition.
         """
         table = self._votes.get(coalition)
         if table is None:

@@ -7,8 +7,7 @@ import pytest
 
 from knowhow import checker
 from knowhow.checker import (
-    HorizonError, RegularityError, Verdict, check_claim, evaluate,
-    evaluate_naive, witness,
+    HorizonError, RegularityError, Verdict, evaluate, evaluate_naive, witness,
 )
 from knowhow.formula import (
     MAX_NESTING, Atom, How, Implies, NestingError, Not, h_depth, parse,
@@ -150,6 +149,9 @@ def test_bounded_flag_only_on_truncated_universals(t1):
     # holds at every history up to the cap: truncated, so flagged
     v = evaluate(t1, h, parse("K{} (p -> p)"), horizon=3)
     assert v.value is True and v.bounded is True and v.horizon_used == 3
+    v = evaluate(t1, parse_history(t1, "w0 ; a=1 ; w1"), parse("K{} (p -> p)"),
+                 horizon=2)
+    assert v.value is True and v.bounded is True
     # refuted by a concrete history: exact even though a cap was set
     v = evaluate(t1, h, parse("K{} p"), horizon=3)
     assert v.value is False and v.bounded is False
@@ -176,16 +178,6 @@ def test_empty_coalition_axiom_shape_under_shared_horizon(t1):
     f = parse("K{} p -> H{} p")
     for n in (1, 2, 4):
         assert evaluate(t1, h, f, horizon=n).value is True
-
-
-def test_check_claim_reports(t1):
-    h = parse_history(t1, "w0 ; a=1 ; w1")
-    good = check_claim(t1, h, parse("H{a} p"), True)
-    assert good.passed
-    flipped = check_claim(t1, h, parse("H{a} p"), False)
-    assert not flipped.passed and flipped.verdict.value is True
-    bounded = check_claim(t1, h, parse("K{} (p -> p)"), True, horizon=2)
-    assert bounded.passed and bounded.verdict.bounded
 
 
 def test_nonregular_systems_are_refused():

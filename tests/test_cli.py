@@ -5,7 +5,9 @@ import pytest
 
 from knowhow import checker, cli, system
 from knowhow.cli import main
-from knowhow.fixtures import fixture_text, proof_text
+from knowhow.fixtures import (
+    FIXTURES, Claim, fixture_text, load_fixture, proof_text, run_claims,
+)
 from knowhow.formula import MAX_NESTING
 from knowhow.proofkit import MAX_OPAQUE
 from knowhow.system import MAX_PROFILES
@@ -213,12 +215,78 @@ def test_prove_over_the_opaque_cap_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+EXAMPLES = {
+    "t1": (
+        "PASS  fresh start in w2 leaves p unknown: (w2) |- K{a} p -> False\n"
+        "PASS  one remembered step from w1 still leaves p unknown: "
+        "(w1 ; a=0 ; w2) |- K{a} p -> False\n"
+        "PASS  the full run from w0 pins p down: "
+        "(w0 ; a=1 ; w1 ; a=0 ; w2) |- K{a} p -> True\n"
+        "PASS  no single instruction reaches p from both w1 and w1': "
+        "(w1) |- H{a} p -> False; (w1') |- H{a} p -> False\n"
+        "PASS  after w0 -> w1 the same instruction 0 works everywhere: "
+        "(w0 ; a=1 ; w1) |- H{a} p -> True\n"
+        "PASS  from w0 the agent knows how to reach a position of knowing how: "
+        "(w0) |- H{a} H{a} p -> True\n"
+        "6/6 claims pass\n"),
+    "t2": (
+        "PASS  a and b jointly know how to reach p: (w0) |- H{a,b} p -> True\n"
+        "PASS  a alone cannot tell w0 from w1, so no know-how: "
+        "(w0) |- H{a} p -> False\n"
+        "PASS  b alone cannot tell w0 from w2, so no know-how: "
+        "(w0) |- H{b} p -> False\n"
+        "3/3 claims pass\n"),
+}
+
+
 def test_examples_commands(capsys):
-    assert main(["examples", "t1"]) == 0
-    out = capsys.readouterr().out
-    assert "6/6 claims pass" in out
-    assert main(["examples", "t2"]) == 0
-    assert "3/3 claims pass" in capsys.readouterr().out
+    for fixture, expected in EXAMPLES.items():
+        assert main(["examples", fixture]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+
+def test_examples_report_a_failing_claim(capsys, monkeypatch):
+    # a claim whose expected value is wrong fails, and so does the run
+    claims = (
+        Claim("the run to w1 forces p", (("w0 ; a=1 ; w1", "H{a} p", True),)),
+        Claim("wrongly expected to fail", (("w0 ; a=1 ; w1", "H{a} p", False),
+                                           ("w2", "K{a} p", False))),
+    )
+    monkeypatch.setitem(FIXTURES, "t1", ("t1.ets", claims))
+    assert main(["examples", "t1"]) == 1
+    assert capsys.readouterr().out == (
+        "PASS  the run to w1 forces p: (w0 ; a=1 ; w1) |- H{a} p -> True\n"
+        "FAIL  wrongly expected to fail: (w0 ; a=1 ; w1) |- H{a} p -> True; "
+        "(w2) |- K{a} p -> False\n"
+        "1/2 claims pass\n")
+    (_, [(h, f, verdict)]), (_, results) = run_claims(load_fixture("t1"), claims)
+    assert (str(h), str(f), verdict.value) == ("w0 ; a=1 ; w1", "H{a} p", True)
+    assert [v.value for _, _, v in results] == [True, False]
+
+
+@pytest.mark.parametrize("command", [
+    ["prove", "{path}"], ["check", "--system", "{path}", "--history", "w0",
+                          "--formula", "p"], ["validate", "--system", "{path}"]])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"agents: a\xff\n")
+    code = main([arg.format(path=path) for arg in command])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("1: q -> qtaut", "line 2: missing or malformed justification"),
+    ("1: p -> ximp 1 2", "line 2: missing or malformed justification"),
+    ("\u00b2: p -> p    taut", "line 2: expected 'N: formula justification'")])
+def test_misread_proof_lines_are_usage_errors(tmp_path, capsys, line, message):
+    path = tmp_path / "bad.proof"
+    path.write_text(f"lines:\n  {line}\ngoal: q -> q\n", encoding="utf-8")
+    assert main(["prove", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_validate_regular_and_broken(t1_path, tmp_path, capsys):

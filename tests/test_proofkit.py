@@ -366,6 +366,28 @@ class TestProofFileParsing:
             parse_derivation("lines:\n  1: p ->  taut\ngoal: p\n")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("line,goal", [
+        ("q -> qtaut", "q -> q"), ("p -> ximp 1 2", "p -> x")])
+    def test_a_justification_never_starts_inside_an_identifier(self, line, goal):
+        # qtaut and ximp are identifiers, not a formula and a justification
+        with pytest.raises(ProofFormatError) as err:
+            parse_derivation(f"lines:\n  1: {line}\ngoal: {goal}\n")
+        assert str(err.value) == "line 2: missing or malformed justification"
+
+    def test_a_parenthesis_separates_a_justification(self):
+        d = parse_derivation("lines:\n  1: (q -> q)taut\ngoal: q -> q\n")
+        assert d.lines == (Line(parse("q -> q"), Tautology()),)
+        assert verify(d).ok
+
+    def test_line_numbers_are_decimal_digits(self):
+        # "²" passes str.isdigit but not int(); every str.isdecimal
+        # character is one that int() reads
+        assert all(int(c) in range(10)
+                   for c in map(chr, range(0x110000)) if c.isdecimal())
+        with pytest.raises(ProofFormatError) as err:
+            parse_derivation("lines:\n  \u00b2: p -> p    taut\ngoal: p -> p\n")
+        assert str(err.value) == "line 2: expected 'N: formula justification'"
+
 
 def _core(text):
     f = parse(text)
