@@ -13,7 +13,8 @@ from .system import (
     load_system, parse_history, profile_agrees, state_indist,
 )
 from .checker import (
-    HorizonError, RegularityError, Verdict, evaluate, evaluate_naive, witness,
+    HorizonError, RegularityError, UndeclaredAgentError, Verdict, evaluate,
+    evaluate_naive, witness,
 )
 from .proofkit import (
     AxiomName, Derivation, ProofFormatError, VerifyResult,
@@ -30,7 +31,8 @@ __all__ = [
     "EpistemicTransitionSystem", "Falsum", "Formula", "FormulaSyntaxError",
     "GenParams", "History", "HorizonError", "How", "Implies",
     "InvalidHistoryError", "Know", "ModelFormatError", "NestingError", "Not",
-    "Profile", "ProofFormatError", "RegularityError", "Verdict",
+    "Profile", "ProofFormatError", "RegularityError", "UndeclaredAgentError",
+    "Verdict",
     "VerifyResult", "check_regular",
     "derive_k_superdistributivity_instance",
     "derive_superdistributivity_instance", "evaluate", "evaluate_naive",

@@ -22,10 +22,12 @@ profiles, in the same order; they must agree everywhere, witness included.
 
 Types step along indexed moves.  A move of state ``w`` is an index into
 ``ets.successors(w)``, and ``_Types.step(t, i)`` is memoized on the pair of
-ints.  Once per evaluation and coalition, a ``_View`` numbers what C sees
-of each move (its votes by C and C's look of its target) and groups each
+ints.  Once per system and coalition, a ``_View`` numbers what C sees of
+each move (its votes by C and C's look of its target) and groups each
 state's moves by that number, in successor order; so a step visits only the
-members' moves in the group of its own move, and compares no profiles.
+members' moves in the group of its own move, and compares no profiles.  A
+view reads only the system, so every evaluation on that system shares it
+(``ets._views``), as ``ets.votes_of`` shares each coalition's votes.
 
 Empty-coalition modalities quantify over histories of every length, so both
 implementations cap the enumeration at a caller supplied horizon.
@@ -47,7 +49,10 @@ so no later level refutes: the walk returns None at the first level at or
 past ``min_length`` that brings no undecided type, whatever the horizon.
 The verdict is the one the whole walk would give, so ``bounded`` keeps its
 meaning.  Refutations are exact.  Formulas built in code past
-``MAX_NESTING`` raise ``NestingError`` up front.
+``MAX_NESTING`` raise ``NestingError`` up front, and a formula that names an
+agent the system does not declare raises ``UndeclaredAgentError``; both
+evaluators read these, and the horizon floor, from one fold of the formula
+(``formula.measures``).
 """
 from __future__ import annotations
 
@@ -55,7 +60,7 @@ from dataclasses import dataclass
 
 from .formula import (
     MAX_NESTING, Atom, Coalition, Falsum, Formula, How, Implies, Know,
-    NestingError, Not, _operands, h_depth, nesting, uses_empty_coalition,
+    NestingError, Not, _operands, measures,
 )
 from .system import (
     EpistemicTransitionSystem, History, Profile, histories_of_length,
@@ -69,6 +74,10 @@ class HorizonError(ValueError):
 
 class RegularityError(ValueError):
     """The checker only evaluates over regular systems."""
+
+
+class UndeclaredAgentError(ValueError):
+    """The formula names an agent that the system does not declare."""
 
 
 @dataclass(frozen=True)
@@ -101,10 +110,15 @@ def _check_preconditions(ets: EpistemicTransitionSystem, h: History,
     if not ets.is_regular:
         raise RegularityError(
             "system is not regular; every state/profile pair needs a successor")
-    if nesting(f) > MAX_NESTING:
+    shape = measures(f)
+    if shape.nesting > MAX_NESTING:
         raise NestingError(f"formula nests deeper than {MAX_NESTING} levels")
-    if uses_empty_coalition(f):
-        floor = h.length + h_depth(f)
+    undeclared = shape.agents - ets.agents
+    if undeclared:
+        raise UndeclaredAgentError(
+            f"formula names undeclared agent {min(undeclared)!r}")
+    if shape.uses_empty_coalition:
+        floor = h.length + shape.h_depth
         if horizon is None:
             raise HorizonError(
                 f"formula uses an empty coalition; supply a horizon >= {floor}")
@@ -117,7 +131,7 @@ def _check_preconditions(ets: EpistemicTransitionSystem, h: History,
 
 
 class _View:
-    """What coalition C sees of each move, built once per evaluation.
+    """What coalition C sees of each move, built once per system.
 
     A move of state ``w`` is an index into ``ets.successors(w)``.
     ``look[w]`` holds C's blocks of ``w``: two states are alike to C iff
@@ -170,7 +184,6 @@ class _Types:
         self.modal: dict[Formula, dict[Formula, None]] = {}
         self.roots: dict[tuple[Formula, str], int] = {}
         self.steps: dict[tuple[int, int], int] = {}
-        self.views: dict[Coalition, _View] = {}
 
     def intern(self, head: str, members: dict[Formula, tuple[int, ...]]) -> int:
         key = (head, tuple(members.items()))
@@ -196,10 +209,11 @@ class _Types:
         return self.modal[f]
 
     def view(self, coalition: Coalition) -> _View:
-        """The coalition's :class:`_View`, built on first use."""
-        if coalition not in self.views:
-            self.views[coalition] = _View(self.ets, self.states, coalition)
-        return self.views[coalition]
+        """The coalition's :class:`_View`, built once per system."""
+        views = self.ets._views
+        if coalition not in views:
+            views[coalition] = _View(self.ets, self.states, coalition)
+        return views[coalition]
 
     def root(self, f: Formula, w: str) -> int:
         """The ``f``-type of the length-0 history ``w``."""

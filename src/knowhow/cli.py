@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from .checker import HorizonError, evaluate, witness
+from .checker import HorizonError, UndeclaredAgentError, evaluate, witness
 from .formula import FormulaSyntaxError, h_depth, parse, uses_empty_coalition, How
 from .fixtures import FIXTURES, load_fixture, run_claims
 from .harness import GenParams, GenParamsError, lemma_suite, soundness_suite
@@ -27,8 +27,13 @@ from .system import (
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        # the codec's message names a byte and a position, not the file
+        raise UnicodeDecodeError(e.encoding, e.object, e.start, e.end,
+                                 f"{e.reason} in {path}") from None
 
 
 def _cmd_check(args) -> int:
@@ -168,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (FormulaSyntaxError, ModelFormatError, InvalidHistoryError, ProofFormatError,
-            OpaqueLimitError, HorizonError, GenParamsError, OSError,
-            UnicodeDecodeError) as e:
+            OpaqueLimitError, HorizonError, UndeclaredAgentError, GenParamsError,
+            OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

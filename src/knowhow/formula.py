@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 Coalition = frozenset[str]
 
@@ -345,18 +346,66 @@ def _fold(f: Formula, combine):
     return done[id(f)]
 
 
+class Measures(NamedTuple):
+    """What the checker's preconditions read of a formula."""
+
+    nesting: int  # see :func:`nesting`
+    h_depth: int  # see :func:`h_depth`
+    uses_empty_coalition: bool  # see :func:`uses_empty_coalition`
+    agents: frozenset[str]  # every agent some coalition of the formula names
+
+
+def measures(f: Formula) -> Measures:
+    """The :class:`Measures` of ``f``, folded once per formula object.
+
+    Like a node's hash, the result is kept on every node the fold visits,
+    so the command line, the harness and the checker's preconditions share
+    one fold of a formula however often each asks, and a node built on
+    measured operands (``witness`` builds ``H{C} body``) needs no fold.
+    """
+    found = getattr(f, "_measures", None)
+    if found is None:
+        parts = [getattr(sub, "_measures", None) for sub in _operands(f)]
+        found = (_fold(f, _kept_measures) if None in parts
+                 else _kept_measures(f, parts))
+    return found
+
+
+def _kept_measures(g: Formula, parts: list[Measures]) -> Measures:
+    found = _measure_node(g, parts)
+    object.__setattr__(g, "_measures", found)
+    return found
+
+
+_LEAF = Measures(0, 0, False, frozenset())  # an atom or ``false``
+
+
+def _measure_node(g: Formula, parts: list[Measures]) -> Measures:
+    if not parts:
+        return _LEAF
+    if isinstance(g, Implies):
+        left, right = parts
+        # a left implication needs parentheses, a right one does not
+        return Measures(
+            max(isinstance(g.left, Implies) + left.nesting, 1 + right.nesting),
+            max(left.h_depth, right.h_depth),
+            left.uses_empty_coalition or right.uses_empty_coalition,
+            left.agents | right.agents)
+    sub = parts[0]
+    if isinstance(g, Not):
+        if isinstance(g.sub, Falsum):  # ``!false`` prints as ``true``
+            return _LEAF
+        return sub._replace(nesting=1 + isinstance(g.sub, Implies) + sub.nesting)
+    return Measures(  # Know, How
+        1 + isinstance(g.sub, Implies) + sub.nesting,
+        isinstance(g, How) + sub.h_depth,
+        sub.uses_empty_coalition or not g.coalition,
+        sub.agents | g.coalition)
+
+
 def h_depth(f: Formula) -> int:
     """Maximum nesting of know-how operators along any root-to-leaf path."""
-    return _fold(f, lambda g, depths: isinstance(g, How) + max(depths, default=0))
-
-
-def _text_nesting(g: Formula, heights: list[int]) -> int:
-    if g == TOP or not heights:  # ``!false`` prints as ``true``
-        return 0
-    if isinstance(g, Implies):
-        # a left implication needs parentheses, a right one does not
-        return max(isinstance(g.left, Implies) + heights[0], 1 + heights[1])
-    return 1 + isinstance(g.sub, Implies) + heights[0]
+    return measures(f).h_depth
 
 
 def nesting(f: Formula) -> int:
@@ -365,13 +414,12 @@ def nesting(f: Formula) -> int:
 
     The printed text has the fewest parentheses that parse back to ``f``, so
     a formula that ``parse`` returned never measures above ``MAX_NESTING``.
-    Like :func:`h_depth` and :func:`uses_empty_coalition` it visits each
-    node object once, without recursion.
+    Like :func:`h_depth` and :func:`uses_empty_coalition` it reads
+    :func:`measures`, which visits each node object once, without recursion.
     """
-    return _fold(f, _text_nesting)
+    return measures(f).nesting
 
 
 def uses_empty_coalition(f: Formula) -> bool:
     """True iff some K or H node in ``f`` carries the empty coalition."""
-    return _fold(f, lambda g, used: any(used) or (
-        isinstance(g, (Know, How)) and not g.coalition))
+    return measures(f).uses_empty_coalition

@@ -12,11 +12,15 @@ The history-relation check is the lemma suite's main cost.  Its pair set is
 fixed by the seed: per level and coalition, all pairs inside small
 signature buckets, representative pairs and a sample inside big ones, and a
 capped sample across buckets, so O(level size) pairs.  Each pair is one
-``hist_indist`` call of O(length x |C|) lookups, and each related pair one
-more on the prefixes, which are built once per level.
+``hist_indist`` call of O(length x |C|) lookups.  Past length 0 a related
+pair is checked again on its decomposition.  A history's prefix is its
+parent in the level below, and the prefix pair, the last-profile pair and
+the head pair are each decided once per distinct pair per level and
+coalition, however many related pairs share them.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -399,66 +403,68 @@ def _check_history_relation(ets, coalition: Coalition, length: int,
     level and its signature buckets, so ``relation_checks`` counts the same
     pairs however cheap each check is.  A bucket of b histories gives b^2
     pairs when b <= 12 and 2b + 100 otherwise; past length 0 a related pair
-    is checked again on its prefixes.  Across buckets there are at most
-    200 + (number of buckets) pairs.
+    is checked again on its decomposition.  Across buckets there are at
+    most 200 + (number of buckets) pairs.
     """
     hs = histories_of_length(ets, length)
     # each member's state -> block-index table, unfolded once per level from
     # the declared partition ``ets.indist``, not looked up once per state
     tables = tuple((a, {w: i for i, block in enumerate(ets.indist[a]) for w in block})
                    for a in sorted(coalition))
-    buckets: dict[tuple, list[History]] = {}
-    for h in hs:
-        buckets.setdefault(_history_signature(h, tables), []).append(h)
+    # histories are named by their index in the level
+    buckets: dict[tuple, list[int]] = {}
+    for i, h in enumerate(hs):
+        buckets.setdefault(_history_signature(h, tables), []).append(i)
 
-    # decomposition compares prefixes: build each history's prefix once,
-    # not once per related pair it takes part in
-    prefix = ({h: History(h.states[:-1], h.profiles[:-1]) for h in hs}
-              if length >= 1 else {})
-
-    def rel(h1, h2):
-        report.relation_checks += 1
-        return hist_indist(ets, h1, h2, coalition)
+    # decomposition: a related pair of extended histories has a related
+    # prefix pair, last profiles that agree and indistinct heads.  A level
+    # lists each parent's extensions in order, so a history's prefix is its
+    # parent in the level below; each of the three relations is decided
+    # once per distinct argument pair
+    if length:
+        prev = histories_of_length(ets, length - 1)
+        parent = [p for p, g in enumerate(prev) for _ in ets.successors(g.head)]
+        prefixes = functools.cache(
+            lambda p1, p2: hist_indist(ets, prev[p1], prev[p2], coalition))
+        profiles = functools.cache(lambda s1, s2: profile_agrees(s1, s2, coalition))
+        heads = functools.cache(lambda w1, w2: state_indist(ets, w1, w2, coalition))
 
     # within a signature bucket everything must be mutually related (this
     # also gives reflexivity, symmetry, and transitivity on related pairs);
     # big buckets get representative-vs-all coverage plus a random sample
     for group in buckets.values():
         if len(group) <= 12:
-            pairs = [(h1, h2) for h1 in group for h2 in group]
+            pairs = [(i, j) for i in group for j in group]
         else:
             rep = group[0]
-            pairs = [(rep, h) for h in group] + [(h, rep) for h in group]
+            pairs = [(rep, i) for i in group] + [(i, rep) for i in group]
             pairs += [(rng.choice(group), rng.choice(group)) for _ in range(100)]
-        for h1, h2 in pairs:
-            if not rel(h1, h2):
+        related = 0
+        for i, j in pairs:
+            h1, h2 = hs[i], hs[j]
+            if not hist_indist(ets, h1, h2, coalition):
                 report.failures.append(
                     f"{label}: {h1} !~ {h2} despite equal signatures "
                     f"(coalition {set(coalition)})")
-            elif length >= 1:
-                # decomposition: a related pair of extended histories has a
-                # related prefix pair, agreeing profiles, indistinct heads
-                ok = (hist_indist(ets, prefix[h1], prefix[h2], coalition)
-                      and profile_agrees(h1.profiles[-1], h2.profiles[-1],
-                                         coalition)
-                      and state_indist(ets, h1.head, h2.head, coalition))
-                report.relation_checks += 1
-                if not ok:
+            elif length:
+                related += 1
+                if not (prefixes(parent[i], parent[j])
+                        and profiles(h1.profiles[-1], h2.profiles[-1])
+                        and heads(h1.states[-1], h2.states[-1])):
                     report.failures.append(
                         f"{label}: decomposition fails for {h1} ~ {h2}")
+        report.relation_checks += len(pairs) + related
     # across buckets nothing may be related; adjacent representatives
     # exhaustively, plus a random sample of cross pairs
     reps = [group[0] for group in buckets.values()]
-    for r1, r2 in zip(reps, reps[1:]):
-        if rel(r1, r2):
-            report.failures.append(
-                f"{label}: {r1} ~ {r2} across different signatures")
+    pairs = list(zip(reps, reps[1:]))
     if len(reps) > 1:
-        for _ in range(min(200, 4 * len(hs))):
-            r1, r2 = rng.sample(reps, 2)
-            if rel(r1, r2):
-                report.failures.append(
-                    f"{label}: {r1} ~ {r2} across different signatures")
+        pairs += [rng.sample(reps, 2) for _ in range(min(200, 4 * len(hs)))]
+    report.relation_checks += len(pairs)
+    for i, j in pairs:
+        if hist_indist(ets, hs[i], hs[j], coalition):
+            report.failures.append(
+                f"{label}: {hs[i]} ~ {hs[j]} across different signatures")
 
 
 def lemma_suite(params: GenParams, num_systems: int = 5,

@@ -267,6 +267,8 @@ class EpistemicTransitionSystem:
             self._succ[w] = tuple(sorted(out))
         self._levels: list[tuple[History, ...]] = []
         self._votes: dict[Coalition, dict[Profile, tuple[tuple[str, str], ...]]] = {}
+        # the checker's view of each coalition's moves, built on first use
+        self._views: dict[Coalition, object] = {}
         self._regular: bool | None = None
 
     @property

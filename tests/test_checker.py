@@ -7,7 +7,8 @@ import pytest
 
 from knowhow import checker
 from knowhow.checker import (
-    HorizonError, RegularityError, Verdict, evaluate, evaluate_naive, witness,
+    HorizonError, RegularityError, UndeclaredAgentError, Verdict, evaluate,
+    evaluate_naive, witness,
 )
 from knowhow.formula import (
     MAX_NESTING, Atom, How, Implies, NestingError, Not, h_depth, parse,
@@ -192,6 +193,65 @@ def test_histories_are_validated(t1):
     foreign = History(("w0", "w2"), (Profile.of({"a": "0"}),))
     with pytest.raises(InvalidHistoryError):
         evaluate(t1, foreign, parse("p"))
+
+
+@pytest.mark.parametrize("text", ["K{zz} p", "H{zz} p", "K{a,zz} p",
+                                  "p -> !H{a} K{zz} q"])
+def test_a_formula_naming_an_undeclared_agent_is_refused(t1, text):
+    h = parse_history(t1, "w0")
+    f = parse(text)
+    for call in (lambda: evaluate(t1, h, f), lambda: evaluate_naive(t1, h, f),
+                 lambda: witness(t1, h, A, f)):
+        with pytest.raises(UndeclaredAgentError, match="undeclared agent 'zz'"):
+            call()
+
+
+def _queries(ets, params, count, rng):
+    """``count`` (anchor, formula, horizon) triples over ``ets``; every
+    fifth formula may use the empty coalition, at the horizon floor."""
+    agents, props = tuple(sorted(ets.agents)), tuple(sorted(ets.valuation))
+    queries = []
+    for i in range(count):
+        empty = i % 5 == 0
+        f = gen_formula(params, props, agents, allow_empty_coalition=empty,
+                        salt=i)
+        h = rng.choice(histories_of_length(ets, rng.randint(0, 1 if empty else 2)))
+        queries.append((h, f, h.length + h_depth(f) if empty else None))
+    return queries
+
+
+def test_views_are_built_once_per_system_and_coalition(monkeypatch):
+    built = []
+    init = checker._View.__init__
+
+    def counting(self, ets, states, coalition):
+        built.append((id(ets), coalition))
+        init(self, ets, states, coalition)
+
+    monkeypatch.setattr(checker._View, "__init__", counting)
+    params = GenParams(seed=6, num_agents=3, formula_depth=2)
+    systems = [gen_system(replace(params, seed=seed)) for seed in (6, 7)]
+    rng = random.Random(6)
+    for ets in systems:
+        for h, f, horizon in _queries(ets, params, 100, rng):
+            evaluate(ets, h, f, horizon)
+    assert len(built) == len(set(built))
+    assert {ets for ets, _ in built} == {id(ets) for ets in systems}
+
+
+def test_evaluations_sharing_a_system_agree_with_fresh_systems():
+    # the views an evaluation leaves on a system must not change a later
+    # evaluation's verdict, whatever the order
+    params = GenParams(seed=12, formula_depth=2)
+    shared = gen_system(params)
+    queries = _queries(shared, params, 200, random.Random(12))
+    random.Random(13).shuffle(queries)
+    verdicts = [evaluate(shared, h, f, horizon) for h, f, horizon in queries]
+    assert verdicts == [evaluate(gen_system(params), h, f, horizon)
+                        for h, f, horizon in queries]
+    assert verdicts == [evaluate_naive(shared, h, f, horizon)
+                        for h, f, horizon in queries]
+    assert {v.value for v in verdicts} == {True, False}
 
 
 def test_memoized_and_naive_agree_on_random_triples():

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from knowhow import checker, cli, system
+from knowhow import formula as formula_module
 from knowhow.cli import main
 from knowhow.fixtures import (
     FIXTURES, Claim, fixture_text, load_fixture, proof_text, run_claims,
@@ -275,6 +276,49 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
     assert code == 2
     assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", [
+    ["prove", "{path}"], ["check", "--system", "{path}", "--history", "w0",
+                          "--formula", "p"], ["validate", "--system", "{path}"]])
+def test_the_not_utf8_error_names_the_file(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"agents: a\xff\n")
+    assert main([arg.format(path=path) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert err.rstrip("\n").endswith(f" in {path}")
+
+
+@pytest.mark.parametrize("formula", ["K{zz} p", "H{zz} p", "K{a,zz} p",
+                                     "p -> H{a} K{} K{zz} q"])
+def test_a_formula_naming_an_undeclared_agent_is_a_usage_error(t1_path, capsys,
+                                                                formula):
+    code = main(["check", "--system", t1_path, "--history", "w0",
+                 "--formula", formula, "--horizon", "3"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: formula names undeclared agent 'zz'\n")
+
+
+@pytest.mark.parametrize("formula", ["H{a} p", "K{a} p", "!H{a} K{a} p",
+                                     "H{} (p -> p)", "K{} (K{a} p -> p)"])
+def test_check_folds_the_formula_at_most_twice(t1_path, capsys, monkeypatch,
+                                               formula):
+    # once for what the preconditions read (nesting, h_depth, empty
+    # coalitions, agents), once to print the ``formula:`` line
+    folds = []
+    fold = formula_module._fold
+
+    def counting(f, combine):
+        folds.append(combine)
+        return fold(f, combine)
+
+    monkeypatch.setattr(formula_module, "_fold", counting)
+    main(["check", "--system", t1_path, "--history", "w0 ; a=1 ; w1",
+          "--formula", formula])
+    assert f"formula: {formula}\n" in capsys.readouterr().out
+    assert 1 <= len(folds) <= 2
 
 
 @pytest.mark.parametrize("line,message", [

@@ -1,10 +1,13 @@
+import hashlib
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from knowhow import harness
 from knowhow.checker import Verdict, evaluate
+from knowhow.cli import main
 from knowhow.formula import Atom, Falsum, h_depth, parse, uses_empty_coalition
 from knowhow.harness import (
     GenParams, GenParamsError, LemmaReport, check_equivalence, check_instance,
@@ -191,6 +194,72 @@ def test_lemma_suite_catches_a_broken_history_relation(monkeypatch, part,
     monkeypatch.setattr(harness, "hist_indist", _relation_without(part))
     report = lemma_suite(GenParams(seed=seed), num_systems=1)
     assert any(symptom in failure for failure in report.failures)
+
+
+def _wrong_at_length_1(ets, h1, h2, coalition):
+    """``hist_indist``, except that it relates no two distinct histories of
+    length 1."""
+    if h1.length == h2.length == 1 and h1 != h2:
+        return False
+    return hist_indist(ets, h1, h2, coalition)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_relation_wrong_only_at_length_1_breaks_decomposition_at_length_2(
+        monkeypatch, seed):
+    # the decomposition check must ask the relation about the prefixes
+    # themselves; equal signatures of the extensions do not vouch for them
+    monkeypatch.setattr(harness, "hist_indist", _wrong_at_length_1)
+    report = lemma_suite(GenParams(seed=seed), num_systems=1)
+    broken = [re.search(r"decomposition fails for (.*) ~ (.*)", f).groups()
+              for f in report.failures if "decomposition fails" in f]
+    assert broken
+    # a history of length n prints as 2n + 1 parts
+    assert {h.count(" ; ") for pair in broken for h in pair} == {4}
+
+
+# sha256 of ``knowhow fuzz --json`` stdout, recorded before the lemma
+# suite's decomposition checks were decided once per distinct pair: a faster
+# suite must print the same report
+FUZZ_DIGESTS = [
+    (["--systems", "1", "--instances", "5", "--seed", "1"],
+     "3bf71f23cfae33698ca8ebf498f7009a6f28614f8da51444029ef5cc5b677bd2"),
+    (["--systems", "1", "--instances", "5", "--seed", "2"],
+     "a17b7e48b8d6089551921bbdf5dd0c0d504c6eb282412c45f654109bc84d803a"),
+    (["--systems", "1", "--instances", "5", "--seed", "3"],
+     "2c47a4be2aa6081633e08ac5a2b2f5d9f5884f95eb633c92f9cac07a20a0c57c"),
+    (["--systems", "1", "--instances", "5", "--seed", "4"],
+     "83fc730d43075e9495d55f18c7a52d0d1b5559fd00d802277649c89d44785e9f"),
+    (["--systems", "1", "--instances", "5", "--seed", "5"],
+     "2acaef872a383684e13d854d00a6ffeafc65dcd2273ef899107cf70432fc559e"),
+    (["--systems", "1", "--instances", "5", "--seed", "6"],
+     "4515edd955fe4a3ea3ccdb86c7d5c261564ddf5d7943291a1d1a42053f90a196"),
+    (["--systems", "1", "--instances", "5", "--seed", "7"],
+     "24668d59ef6268cb2f4d6b9f7829ba2fbfdfc10e82c148e59683b4eeb7b6bed6"),
+    (["--systems", "1", "--instances", "5", "--seed", "8"],
+     "2c86518377e7d03c7296c58f4baee5fa98f721760dd7d20900e974bd00833c8a"),
+    (["--systems", "1", "--instances", "5", "--seed", "9"],
+     "67d2323568a81370ab55b1b4cecfe80312de1f7238db73b1bc615b5a74bac227"),
+    (["--systems", "1", "--instances", "5", "--seed", "10"],
+     "a08f70eb68ee01558099364d00a739ee8da3cd0f66dc3ed69792cde8d756b746"),
+    (["--seed", "0"],
+     "ce4cf48fa4907ac57fa211c0026b269975ee856427da33d1242b82f3a8a87243"),
+    (["--seed", "1"],
+     "49e9bdb7a37b94d014cc38f807ee7608206bfef0e6c9fc21d04dcead5f137a56"),
+    (["--seed", "2"],
+     "2bd0e42364585998d115ac2554731813645fe69fddb37662c6f1e0f9322011aa"),
+    (["--seed", "3"],
+     "f557b58f1cbbec7e892a37596baa125c1e53c00e81173b248f8e3ec9828b8294"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", FUZZ_DIGESTS,
+                         ids=[("small-" if "--systems" in argv else "defaults-")
+                              + f"seed{argv[-1]}" for argv, _ in FUZZ_DIGESTS])
+def test_fuzz_json_output_is_pinned(capsys, argv, digest):
+    code = main(["fuzz", "--json", *argv])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 def test_empty_coalition_relates_histories_of_different_lengths(t1):
