@@ -15,10 +15,16 @@ Grammar (whitespace insignificant between tokens)::
     coalition := "{" (ident ("," ident)*)? "}"
     ident     := [A-Za-z_][A-Za-z0-9_']*
 
-Whitespace is what ``str.isspace`` accepts.  :func:`parse` scans the text
-once with one compiled regular expression into ``(kind, text, offset)``
-tuples ending in an end-of-input token, then a recursive-descent parser
-reads them by index, one call per operand level (see ``MAX_NESTING``).
+Whitespace is what ``str.isspace`` accepts.  :func:`parse` splits the text
+with one ``findall`` of a compiled regular expression into plain token
+strings ending in ``""`` for the end of input, and a recursive-descent
+parser reads them by index, one call per operand level (see
+``MAX_NESTING``).  A character that starts no token is found by comparing
+the tokens' total length with the text's non-space characters; token
+offsets are computed only when an error names one.
+
+A node's hash is folded from its operands' stored hashes at construction,
+so equal trees hash alike however they were built.
 """
 from __future__ import annotations
 
@@ -91,7 +97,7 @@ class Not(Formula):
     __hash__ = _cached_hash
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Not", self.sub)))
+        object.__setattr__(self, "_h", hash(("Not", self.sub._h)))
 
 
 @dataclass(frozen=True, repr=False)
@@ -102,7 +108,7 @@ class Implies(Formula):
     __hash__ = _cached_hash
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Implies", self.left, self.right)))
+        object.__setattr__(self, "_h", hash(("Implies", self.left._h, self.right._h)))
 
 
 @dataclass(frozen=True, repr=False)
@@ -113,7 +119,7 @@ class Know(Formula):
     __hash__ = _cached_hash
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Know", self.coalition, self.sub)))
+        object.__setattr__(self, "_h", hash(("Know", self.coalition, self.sub._h)))
 
 
 @dataclass(frozen=True, repr=False)
@@ -124,7 +130,7 @@ class How(Formula):
     __hash__ = _cached_hash
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("How", self.coalition, self.sub)))
+        object.__setattr__(self, "_h", hash(("How", self.coalition, self.sub._h)))
 
 
 #: ``true`` desugars to this node.
@@ -132,44 +138,45 @@ TOP = Not(Falsum())
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
-# token kinds
-_ARROW, _BANG, _LBRACE, _RBRACE, _LPAREN, _RPAREN, _COMMA, _IDENT, _TRUE, _FALSE, _EOF = (
-    "'->'", "'!'", "'{'", "'}'", "'('", "')'", "','", "identifier", "'true'", "'false'",
-    "end of input",
-)
+# token kinds, as error messages name the tokens expected
+_ARROW, _RPAREN, _COMMA, _RBRACE, _IDENT, _EOF = (
+    "'->'", "')'", "','", "'}'", "identifier", "end of input")
+_UNARY_START = ("'!'", _IDENT, "'true'", "'false'", "'('")
 
-# the kind of every token text that is not an identifier
-_KINDS = {
-    "->": _ARROW, "!": _BANG, "{": _LBRACE, "}": _RBRACE, "(": _LPAREN, ")": _RPAREN,
-    ",": _COMMA, "true": _TRUE, "false": _FALSE,
-}
+# every token text that is not an identifier; ``""`` ends the input
+_NOT_IDENT = frozenset({"->", "!", "{", "}", "(", ")", ",", "true", "false", ""})
+
+_TOKEN = re.compile(r"->|[!{}(),]|" + IDENT_RE.pattern)
 
 # group 1 is a token; group 2 is any other character that is not whitespace.
 # ``finditer`` steps over the positions where neither matches, which are the
 # ``\s`` characters: for ``str`` patterns exactly those that ``str.isspace``
 # accepts.
-_SCANNER = re.compile(r"(->|[!{}(),]|" + IDENT_RE.pattern + r")|(\S)")
+_SCANNER = re.compile("(" + _TOKEN.pattern + r")|(\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The ``(kind, text, offset)`` tokens of ``text``, then an end-of-input
-    token, so the parser can look one token past any token but the last."""
-    tokens = []
-    for m in _SCANNER.finditer(text):
-        word = m.group()
-        if m.lastindex == 2:
-            raise FormulaSyntaxError(f"unexpected character {word!r}", m.start())
-        tokens.append((_KINDS.get(word, _IDENT), word, m.start()))
-    tokens.append((_EOF, "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, then ``""`` for the end of input, so the
+    parser can look one token past any token but the last.
+
+    ``findall`` steps over a character that starts no token, and does so at
+    exactly the positions where ``_SCANNER`` matches it as a stray, so the
+    tokens leave out some non-space character exactly when the text has a
+    stray one; only then does ``_SCANNER`` run, to name the first.
+    """
+    tokens = _TOKEN.findall(text)
+    if len("".join(tokens)) < len("".join(text.split())):
+        for m in _SCANNER.finditer(text):
+            if m.lastindex == 2:
+                raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
+    tokens.append("")
     return tokens
 
-
-_UNARY_START = (_BANG, _IDENT, _TRUE, _FALSE, _LPAREN)
 
 #: Deepest operand nesting ``parse`` accepts.  Every ``!``, ``K{..}``,
 #: ``H{..}``, ``->`` and ``(`` opens one level for the operand after it, so
 #: ``"!" * MAX_NESTING + "p"`` is the deepest chain of negations.  The parser
-#: reads the token tuples by index but still recurses once per level, and the
+#: reads the tokens by index but still recurses once per level, and the
 #: checker recurses up to five frames per ``H{..}``, so a formula of any shape
 #: at this bound still runs under Python's default recursion limit of 1000.
 #: Deeper text fails as a syntax error instead of a RecursionError, and the
@@ -178,94 +185,108 @@ _UNARY_START = (_BANG, _IDENT, _TRUE, _FALSE, _LPAREN)
 MAX_NESTING = 150
 
 
-def _deeper(depth: int, opener_offset: int) -> int:
-    """The depth of the operand that the token at ``opener_offset`` opens."""
-    if depth == MAX_NESTING:
-        raise FormulaSyntaxError(
-            f"formula nests deeper than {MAX_NESTING} levels", opener_offset)
-    return depth + 1
-
-
 class _Parser:
-    """Recursive descent over the token tuples of one text.
+    """Recursive descent over the token texts of one text.
 
     ``pos`` indexes the next unread token; the end-of-input token is never
     read past.  A method's ``depth`` argument counts the operand levels
-    open around the text it reads.
+    open around the text it reads; an opener at ``MAX_NESTING`` raises.
+    Offsets are only computed for an error, by scanning the text again.
     """
 
-    __slots__ = ("tokens", "pos")
+    __slots__ = ("text", "tokens", "pos")
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
+    def error(self, message: str, index: int, expected: tuple[str, ...] = ()):
+        """The FormulaSyntaxError at the token with index ``index``.
+
+        The text has no stray character once it is tokenized, so every
+        ``_SCANNER`` match is a token, and the end of input is at ``len``.
+        """
+        offsets = [m.start() for m in _SCANNER.finditer(self.text)]
+        offsets.append(len(self.text))
+        return FormulaSyntaxError(message, offsets[index], expected)
+
+    def too_deep(self, index: int):
+        return self.error(f"formula nests deeper than {MAX_NESTING} levels", index)
+
     def formula(self, depth: int) -> Formula:
         left = self.unary(depth)
-        kind, _, offset = self.tokens[self.pos]
-        if kind != _ARROW:
+        pos = self.pos
+        if self.tokens[pos] != "->":
             return left
-        self.pos += 1
-        return Implies(left, self.formula(_deeper(depth, offset)))
+        if depth == MAX_NESTING:
+            raise self.too_deep(pos)
+        self.pos = pos + 1
+        return Implies(left, self.formula(depth + 1))
 
     def unary(self, depth: int) -> Formula:
         pos = self.pos
-        kind, text, offset = self.tokens[pos]
+        tokens = self.tokens
+        token = tokens[pos]
         self.pos = pos + 1
-        if kind == _IDENT:
-            if text in ("K", "H") and self.tokens[pos + 1][0] == _LBRACE:
+        if token not in _NOT_IDENT:
+            if (token == "K" or token == "H") and tokens[pos + 1] == "{":
                 coalition = self.coalition()
-                sub = self.unary(_deeper(depth, offset))
-                return Know(coalition, sub) if text == "K" else How(coalition, sub)
-            return Atom(text)
-        if kind == _BANG:
-            return Not(self.unary(_deeper(depth, offset)))
-        if kind == _LPAREN:
-            inner = self.formula(_deeper(depth, offset))
-            kind, _, offset = self.tokens[self.pos]
-            if kind != _RPAREN:
-                raise FormulaSyntaxError("syntax error", offset, (_RPAREN,))
-            self.pos += 1
+                if depth == MAX_NESTING:
+                    raise self.too_deep(pos)
+                sub = self.unary(depth + 1)
+                return Know(coalition, sub) if token == "K" else How(coalition, sub)
+            return Atom(token)
+        if token == "!":
+            if depth == MAX_NESTING:
+                raise self.too_deep(pos)
+            return Not(self.unary(depth + 1))
+        if token == "(":
+            if depth == MAX_NESTING:
+                raise self.too_deep(pos)
+            inner = self.formula(depth + 1)
+            pos = self.pos
+            if tokens[pos] != ")":
+                raise self.error("syntax error", pos, (_RPAREN,))
+            self.pos = pos + 1
             return inner
-        if kind == _FALSE:
+        if token == "false":
             return Falsum()
-        if kind == _TRUE:
+        if token == "true":
             return Not(Falsum())
-        raise FormulaSyntaxError("syntax error", offset, _UNARY_START)
+        raise self.error("syntax error", pos, _UNARY_START)
 
     def coalition(self) -> Coalition:
         """Read ``{...}``; ``pos`` is at the ``{``, which the caller has seen."""
         tokens = self.tokens
         pos = self.pos + 1
-        kind, text, offset = tokens[pos]
-        if kind == _RBRACE:
+        token = tokens[pos]
+        if token == "}":
             self.pos = pos + 1
             return frozenset()
         members: set[str] = set()
         while True:
-            if kind != _IDENT:
-                raise FormulaSyntaxError("syntax error", offset, (_IDENT,))
-            if text in members:
-                raise FormulaSyntaxError(
-                    f"duplicate agent {text!r} in coalition", offset)
-            members.add(text)
-            kind, _, offset = tokens[pos + 1]
+            if token in _NOT_IDENT:
+                raise self.error("syntax error", pos, (_IDENT,))
+            if token in members:
+                raise self.error(f"duplicate agent {token!r} in coalition", pos)
+            members.add(token)
+            token = tokens[pos + 1]
             pos += 2
-            if kind == _RBRACE:
+            if token == "}":
                 self.pos = pos
                 return frozenset(members)
-            if kind != _COMMA:
-                raise FormulaSyntaxError("syntax error", offset, (_COMMA, _RBRACE))
-            kind, text, offset = tokens[pos]
+            if token != ",":
+                raise self.error("syntax error", pos - 1, (_COMMA, _RBRACE))
+            token = tokens[pos]
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula; raise FormulaSyntaxError on bad input."""
     parser = _Parser(text)
     f = parser.formula(0)
-    kind, _, offset = parser.tokens[parser.pos]
-    if kind != _EOF:
-        raise FormulaSyntaxError("syntax error", offset, (_ARROW, _EOF))
+    if parser.tokens[parser.pos] != "":
+        raise parser.error("syntax error", parser.pos, (_ARROW, _EOF))
     return f
 
 

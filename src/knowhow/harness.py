@@ -285,6 +285,8 @@ def check_instance(ets: EpistemicTransitionSystem, schema: AxiomName,
 def soundness_suite(params: GenParams, num_systems: int = 10,
                     num_instances: int = 5) -> SoundnessReport:
     """Fuzz every axiom schema: ``num_instances`` instances per schema per system."""
+    if num_systems < 0 or num_instances < 0:
+        raise GenParamsError("system and instance counts must be non-negative")
     report = SoundnessReport(params)
     for i in range(num_systems):
         sys_params = replace(params, seed=params.seed * 1_000_003 + i)
@@ -471,6 +473,8 @@ def lemma_suite(params: GenParams, num_systems: int = 5,
                 extra_systems: tuple[EpistemicTransitionSystem, ...] = ()
                 ) -> LemmaReport:
     """Equivalence, length, and decomposition lemmas plus derived semantic laws."""
+    if num_systems < 0:
+        raise GenParamsError("system count must be non-negative")
     report = LemmaReport(params)
     systems = list(extra_systems)
     for i in range(num_systems):

@@ -363,7 +363,8 @@ def test_fuzz_json_report(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--states", "0"), ("--agents", "0"), ("--choices", "0"), ("--depth", "-1"),
-    ("--formula-depth", "-1"), ("--agents", "30")])
+    ("--formula-depth", "-1"), ("--agents", "30"), ("--systems", "-1"),
+    ("--instances", "-3")])
 def test_fuzz_bad_parameters_are_usage_errors(capsys, flag, value):
     code = main(["fuzz", "--systems", "1", "--instances", "1", flag, value])
     out, err = capsys.readouterr()

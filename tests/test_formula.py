@@ -86,6 +86,13 @@ def test_syntax_error_carries_offset_and_expectations():
     assert err.value.offset == 2
 
 
+def test_a_stray_character_wins_over_an_earlier_syntax_error():
+    # the whole text is scanned before the parser reads a token
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("p q $")
+    assert str(err.value) == "unexpected character '$' at offset 4"
+
+
 def test_duplicate_agent_in_coalition_rejected():
     with pytest.raises(FormulaSyntaxError) as err:
         parse("K{a,a} p")
@@ -111,11 +118,19 @@ def test_nesting_at_the_limit_parses_and_prints(shape):
     assert nesting(f) <= MAX_NESTING
 
 
+# where the opener of the first operand past the limit starts
+PAST_THE_LIMIT_OFFSET = {
+    "negation": 150, "know": 750, "how": 750, "parentheses": 150,
+    "implication": 752, "negated_true": 150, "negated_implication": 152,
+}
+
+
 @pytest.mark.parametrize("shape", sorted(NESTED))
 def test_nesting_past_the_limit_is_a_syntax_error(shape):
     with pytest.raises(FormulaSyntaxError) as err:
         parse(NESTED[shape](MAX_NESTING + 1))
     assert f"deeper than {MAX_NESTING}" in str(err.value)
+    assert err.value.offset == PAST_THE_LIMIT_OFFSET[shape]
 
 
 def test_very_deep_formula_fails_fast():
@@ -213,7 +228,11 @@ def formulas(depth=4):
 
 @given(formulas())
 def test_print_parse_round_trip(f):
-    assert parse(format_formula(f)) == f
+    g = parse(format_formula(f))
+    assert g == f
+    # a node hashes its operands' stored hashes, so a tree built in code
+    # (``Not(Falsum())``) and its parse (``true``) hash alike
+    assert hash(g) == hash(f)
 
 
 @given(formulas())

@@ -34,6 +34,13 @@ def test_genparams_invariants():
     assert GenParams(num_agents=1, num_choices=MAX_PROFILES).num_choices == MAX_PROFILES
 
 
+def test_a_negative_lemma_system_count_is_rejected():
+    # the command line never passes one (it asks for at least one system);
+    # its negative --systems and --instances reach soundness_suite first
+    with pytest.raises(GenParamsError, match="must be non-negative"):
+        lemma_suite(GenParams(), num_systems=-1)
+
+
 def test_gen_system_is_deterministic_and_regular():
     p = GenParams(seed=1, num_states=2, num_agents=1, num_choices=1)
     first, second = gen_system(p), gen_system(p)
