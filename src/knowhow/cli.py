@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
+# proofkit and harness are the package's lazy modules: they run when a
+# handler (or the error tuple in ``main``) first reads one of their names
+from . import harness, proofkit
 from .checker import HorizonError, UndeclaredAgentError, evaluate, witness
 from .formula import FormulaSyntaxError, h_depth, parse, uses_empty_coalition, How
 from .fixtures import FIXTURES, load_fixture, run_claims
-from .harness import GenParams, GenParamsError, lemma_suite, soundness_suite
-from .proofkit import OpaqueLimitError, ProofFormatError, parse_derivation, verify
 from .system import (
     InvalidHistoryError, ModelFormatError, check_regular, load_system,
     parse_history,
@@ -65,7 +65,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    result = verify(parse_derivation(_read(args.proof)))
+    result = proofkit.verify(proofkit.parse_derivation(_read(args.proof)))
     print(result)
     return 0 if result.ok else 1
 
@@ -86,14 +86,16 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    params = GenParams(
+    import json
+
+    params = harness.GenParams(
         seed=args.seed, num_states=args.states, num_agents=args.agents,
         num_choices=args.choices, formula_depth=args.formula_depth,
         history_depth=args.depth,
         horizon=max(args.horizon, args.depth + args.formula_depth))
-    sound = soundness_suite(params, num_systems=args.systems,
-                            num_instances=args.instances)
-    lemmas = lemma_suite(params, num_systems=max(1, args.systems // 2))
+    sound = harness.soundness_suite(params, num_systems=args.systems,
+                                    num_instances=args.instances)
+    lemmas = harness.lemma_suite(params, num_systems=max(1, args.systems // 2))
     if args.json:
         print(json.dumps({"soundness": sound.to_dict(), "lemmas": lemmas.to_dict()},
                          indent=2))
@@ -164,6 +166,15 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _usage_errors() -> tuple[type[BaseException], ...]:
+    # called from ``main``'s except clause, which Python evaluates only when
+    # an exception reaches it, so a clean ``check`` never runs proofkit or
+    # harness for their error types
+    return (FormulaSyntaxError, ModelFormatError, InvalidHistoryError,
+            proofkit.ProofFormatError, proofkit.OpaqueLimitError, HorizonError,
+            UndeclaredAgentError, harness.GenParamsError, OSError, UnicodeDecodeError)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     # named here, not in the shared parser, so each call runs the handler
@@ -172,9 +183,7 @@ def main(argv: list[str] | None = None) -> int:
                 "examples": _cmd_examples, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (FormulaSyntaxError, ModelFormatError, InvalidHistoryError, ProofFormatError,
-            OpaqueLimitError, HorizonError, UndeclaredAgentError, GenParamsError,
-            OSError, UnicodeDecodeError) as e:
+    except _usage_errors() as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 from .checker import Verdict, evaluate
 from .formula import Formula, parse
@@ -45,6 +44,8 @@ FIXTURES = {"t1": ("t1.ets", T1_CLAIMS), "t2": ("t2.ets", T2_CLAIMS)}
 
 
 def fixture_text(name: str) -> str:
+    from importlib import resources  # costs more to import than `check` takes
+
     filename, _ = FIXTURES[name]
     return resources.files("knowhow").joinpath("data", filename).read_text()
 
@@ -55,6 +56,8 @@ def load_fixture(name: str) -> EpistemicTransitionSystem:
 
 
 def proof_text(filename: str) -> str:
+    from importlib import resources
+
     return resources.files("knowhow").joinpath("data", "proofs", filename).read_text()
 
 

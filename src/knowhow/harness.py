@@ -173,7 +173,9 @@ def instantiate_axiom(schema: AxiomName, rng: random.Random,
                        Implies(Know(c, x), Know(c, y)))
     if schema is AxiomName.MONOTONICITY:
         big = coalition()
-        small = frozenset(a for a in big if rng.random() < 0.6)
+        # one draw per member in sorted order: a frozenset of names iterates
+        # in str-hash order, which changes with PYTHONHASHSEED
+        small = frozenset(a for a in sorted(big) if rng.random() < 0.6)
         return Implies(Know(small, x), Know(big, x))
     if schema is AxiomName.STRATEGIC_POSITIVE_INTROSPECTION:
         body = How(coalition(), x)
@@ -190,7 +192,7 @@ def instantiate_axiom(schema: AxiomName, rng: random.Random,
         return Implies(Know(frozenset(), x), How(frozenset(), x))
     if schema is AxiomName.PERFECT_RECALL:
         c = coalition(nonempty=True)
-        d = frozenset(a for a in c if rng.random() < 0.5)
+        d = frozenset(a for a in sorted(c) if rng.random() < 0.5)
         return Implies(How(d, x), How(d, Know(c, x)))
     if schema is AxiomName.UNACHIEVABILITY_OF_FALSEHOOD:
         return Not(How(coalition(), Falsum()))
@@ -535,7 +537,7 @@ def _check_semantic_laws(ets, rng, params, report, label):
         return _gen_formula(rng, rng.randint(0, 1), props, agents, False)
 
     def nonempty_subset(coalition: Coalition) -> Coalition:
-        kept = frozenset(a for a in coalition if rng.random() < 0.5)
+        kept = frozenset(a for a in sorted(coalition) if rng.random() < 0.5)
         return kept or frozenset({min(coalition)})
 
     for _ in range(10):

@@ -1,7 +1,11 @@
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +322,41 @@ def test_axiom_instances_hold_on_t2(t2):
                 horizon = (h.length + h_depth(inst)
                            if uses_empty_coalition(inst) else None)
                 assert evaluate(t2, h, inst, horizon).value, (schema, inst, h)
+
+
+# a fresh interpreter per str hash salt: the instances drawn and the checker
+# work they cost must not depend on the order a frozenset of agent names
+# iterates in
+SAME_WORK = """
+import hashlib, random
+from knowhow import checker
+from knowhow.harness import GenParams, instantiate_axiom, lemma_suite, soundness_suite
+from knowhow.proofkit import AxiomName
+
+rng = random.Random(0)
+text = "\\n".join(str(instantiate_axiom(schema, rng, ("p", "q"),
+                                         ("a0", "a1", "a2", "a3"), depth=1))
+                  for _ in range(20) for schema in AxiomName)
+steps = [0]
+step = checker._Types.step
+
+def counting(self, *args):
+    steps[0] += 1
+    return step(self, *args)
+
+checker._Types.step = counting
+params = GenParams(seed=100, num_agents=3)
+soundness_suite(params, num_systems=1, num_instances=3)
+lemma_suite(params, num_systems=1)
+print(hashlib.sha256(text.encode()).hexdigest(), steps[0])
+"""
+
+
+def test_the_same_work_under_every_string_hash_salt():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    runs = {subprocess.run([sys.executable, "-c", SAME_WORK], capture_output=True,
+                           text=True, check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "PYTHONHASHSEED": salt}).stdout
+            for salt in ("1", "2", "3")}
+    assert len(runs) == 1, runs
