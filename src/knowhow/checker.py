@@ -27,7 +27,7 @@ each move (its votes by C and C's look of its target) and groups each
 state's moves by that number, in successor order; so a step visits only the
 members' moves in the group of its own move, and compares no profiles.  A
 view reads only the system, so every evaluation on that system shares it
-(``ets._views``), as ``ets.votes_of`` shares each coalition's votes.
+(``ets._views``).
 
 Empty-coalition modalities quantify over histories of every length, so both
 implementations cap the enumeration at a caller supplied horizon.
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 from .formula import (
     MAX_NESTING, Atom, Coalition, Falsum, Formula, How, Implies, Know,
-    NestingError, Not, _operands, measures,
+    InputError, NestingError, Not, _operands, measures,
 )
 from .system import (
     EpistemicTransitionSystem, History, Profile, histories_of_length,
@@ -68,15 +68,15 @@ from .system import (
 )
 
 
-class HorizonError(ValueError):
+class HorizonError(InputError):
     """Horizon missing or too small for a formula with empty coalitions."""
 
 
-class RegularityError(ValueError):
+class RegularityError(InputError):
     """The checker only evaluates over regular systems."""
 
 
-class UndeclaredAgentError(ValueError):
+class UndeclaredAgentError(InputError):
     """The formula names an agent that the system does not declare."""
 
 

@@ -6,7 +6,7 @@ suites, ``examples`` replays the bundled claim lists, and ``validate`` runs
 well-formedness and regularity checks on a model file.
 
 Exit status: 0 for True/ok/clean, 1 for False/failing line/violations,
-2 for usage or format errors.
+2 for usage errors, bad input (any ``InputError``) and unreadable files.
 """
 from __future__ import annotations
 
@@ -15,15 +15,12 @@ import functools
 import sys
 
 # proofkit and harness are the package's lazy modules: they run when a
-# handler (or the error tuple in ``main``) first reads one of their names
+# handler first reads one of their names
 from . import harness, proofkit
-from .checker import HorizonError, UndeclaredAgentError, evaluate, witness
-from .formula import FormulaSyntaxError, h_depth, parse, uses_empty_coalition, How
+from .checker import evaluate, witness
+from .formula import InputError, h_depth, parse, uses_empty_coalition, How
 from .fixtures import FIXTURES, load_fixture, run_claims
-from .system import (
-    InvalidHistoryError, ModelFormatError, check_regular, load_system,
-    parse_history,
-)
+from .system import check_regular, load_system, parse_history
 
 
 def _read(path: str) -> str:
@@ -32,8 +29,7 @@ def _read(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as e:
         # the codec's message names a byte and a position, not the file
-        raise UnicodeDecodeError(e.encoding, e.object, e.start, e.end,
-                                 f"{e.reason} in {path}") from None
+        raise InputError(f"{e} in {path}") from None
 
 
 def _cmd_check(args) -> int:
@@ -166,15 +162,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _usage_errors() -> tuple[type[BaseException], ...]:
-    # called from ``main``'s except clause, which Python evaluates only when
-    # an exception reaches it, so a clean ``check`` never runs proofkit or
-    # harness for their error types
-    return (FormulaSyntaxError, ModelFormatError, InvalidHistoryError,
-            proofkit.ProofFormatError, proofkit.OpaqueLimitError, HorizonError,
-            UndeclaredAgentError, harness.GenParamsError, OSError, UnicodeDecodeError)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     # named here, not in the shared parser, so each call runs the handler
@@ -183,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
                 "examples": _cmd_examples, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except _usage_errors() as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,17 @@ from typing import NamedTuple
 Coalition = frozenset[str]
 
 
-class FormulaSyntaxError(ValueError):
+class InputError(ValueError):
+    """Base of every bad-input error (exit code 2); ``line_no`` prefixes ``line N: ``."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        self.line_no = line_no
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+
+
+class FormulaSyntaxError(InputError):
     """Parse failure, with the byte offset and the token set expected there."""
 
     def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
@@ -48,7 +58,7 @@ class FormulaSyntaxError(ValueError):
         super().__init__(message)
 
 
-class NestingError(ValueError):
+class NestingError(InputError):
     """A formula built in code nests deeper than ``MAX_NESTING`` levels."""
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .formula import (
     Atom, Coalition, Falsum, Formula, How, Implies, Know, Not,
-    FormulaSyntaxError, IDENT_RE, parse,
+    FormulaSyntaxError, IDENT_RE, InputError, parse,
 )
 
 
@@ -95,15 +95,13 @@ def match_axiom(f: Formula) -> frozenset[AxiomName]:
 MAX_OPAQUE = 22
 
 
-class OpaqueLimitError(ValueError):
+class OpaqueLimitError(InputError):
     """A formula has more distinct opaque subformulas than ``MAX_OPAQUE``."""
 
     def __init__(self, count: int, line_no: int | None = None):
         self.count = count
-        message = f"too many distinct opaque subformulas ({count}, limit {MAX_OPAQUE})"
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(
+            f"too many distinct opaque subformulas ({count}, limit {MAX_OPAQUE})", line_no)
 
 
 # operator markers on is_tautology's work stack
@@ -330,12 +328,8 @@ def verify(d: Derivation) -> VerifyResult:
 
 # --- proof file format ------------------------------------------------------
 
-class ProofFormatError(ValueError):
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+class ProofFormatError(InputError):
+    """Bad proof text: layout, justification, or a formula that does not parse."""
 
 
 # One named group per justification form, named after it: ``taut`` matches
@@ -385,6 +379,14 @@ def _justification(m: re.Match, labels: dict[str, int], line_no: int) -> Justifi
     return Hypothesis(labels[label], label)
 
 
+def _parse_formula(text: str, what: str, line_no: int) -> Formula:
+    """``parse(text)``, with a syntax error reported as bad ``what`` at ``line_no``."""
+    try:
+        return parse(text)
+    except FormulaSyntaxError as e:
+        raise ProofFormatError(f"bad {what}: {e}", line_no) from e
+
+
 def parse_derivation(text: str) -> Derivation:
     """Parse the proof file format (hypotheses / lines / goal sections)."""
     hypotheses: list[tuple[str, Formula]] = []
@@ -406,10 +408,7 @@ def parse_derivation(text: str) -> Derivation:
         if stripped.startswith("goal:"):
             if goal is not None:
                 raise ProofFormatError("duplicate goal", line_no)
-            try:
-                goal = parse(stripped[len("goal:"):])
-            except FormulaSyntaxError as e:
-                raise ProofFormatError(f"bad goal formula: {e}", line_no) from e
+            goal = _parse_formula(stripped[len("goal:"):], "goal formula", line_no)
             section = None
             continue
         if section == "hypotheses":
@@ -419,10 +418,7 @@ def parse_derivation(text: str) -> Derivation:
                 raise ProofFormatError("expected 'label: formula'", line_no)
             if label in labels:
                 raise ProofFormatError(f"duplicate hypothesis label {label!r}", line_no)
-            try:
-                f = parse(body)
-            except FormulaSyntaxError as e:
-                raise ProofFormatError(f"bad hypothesis formula: {e}", line_no) from e
+            f = _parse_formula(body, "hypothesis formula", line_no)
             labels[label] = len(hypotheses)
             hypotheses.append((label, f))
         elif section == "lines":
@@ -436,10 +432,7 @@ def parse_derivation(text: str) -> Derivation:
             m = _JUST_RE.search(body)
             if not m:
                 raise ProofFormatError("missing or malformed justification", line_no)
-            try:
-                f = parse(body[:m.start()])
-            except FormulaSyntaxError as e:
-                raise ProofFormatError(f"bad formula: {e}", line_no) from e
+            f = _parse_formula(body[:m.start()], "formula", line_no)
             lines.append(Line(f, _justification(m, labels, line_no)))
         else:
             raise ProofFormatError(f"unexpected content {stripped!r}", line_no)

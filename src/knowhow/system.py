@@ -23,23 +23,17 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .formula import Coalition, IDENT_RE
+from .formula import Coalition, IDENT_RE, InputError, _cached_hash
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
 TRANS_RE = re.compile(r"trans\s+(\S+)\s+\[([^\]]*)\]\s+(\S+)")
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     """Bad model text: syntax, undeclared names, or a broken partition."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
 
-
-class InvalidHistoryError(ValueError):
+class InvalidHistoryError(InputError):
     """History literal or History value inconsistent with the system."""
 
 
@@ -54,7 +48,7 @@ MAX_PROFILES = 4096
 
 
 def check_profile_count(num_agents: int, num_choices: int,
-                        error: type[ValueError] = ModelFormatError) -> None:
+                        error: type[InputError] = ModelFormatError) -> None:
     """Raise ``error`` when |choices|^|agents| exceeds ``MAX_PROFILES``.
 
     Decided before any profile is listed, and without computing a power
@@ -64,10 +58,6 @@ def check_profile_count(num_agents: int, num_choices: int,
     if capped > MAX_PROFILES:
         raise error(f"{num_choices} choices for {num_agents} agents make more "
                     f"than {MAX_PROFILES} complete profiles")
-
-
-def _cached_hash(self):
-    return self._h
 
 
 @dataclass(frozen=True, order=True)
@@ -266,7 +256,6 @@ class EpistemicTransitionSystem:
         for w, out in by_state.items():
             self._succ[w] = tuple(sorted(out))
         self._levels: list[tuple[History, ...]] = []
-        self._votes: dict[Coalition, dict[Profile, tuple[tuple[str, str], ...]]] = {}
         # the checker's view of each coalition's moves, built on first use
         self._views: dict[Coalition, object] = {}
         self._regular: bool | None = None
@@ -289,14 +278,9 @@ class EpistemicTransitionSystem:
 
         The votes of ``s`` are its ``(agent, choice)`` pairs for the members,
         so they equal those of exactly one profile of ``profiles_over``.
-        Built once per coalition.
         """
-        table = self._votes.get(coalition)
-        if table is None:
-            table = self._votes[coalition] = {
-                s: tuple(vote for vote in s.votes if vote[0] in coalition)
+        return {s: tuple(vote for vote in s.votes if vote[0] in coalition)
                 for s in self._complete_profiles}
-        return table
 
     def successors(self, state: str) -> tuple[tuple[Profile, str], ...]:
         return self._succ[state]

@@ -360,3 +360,52 @@ def test_the_same_work_under_every_string_hash_salt():
                                 "PYTHONHASHSEED": salt}).stdout
             for salt in ("1", "2", "3")}
     assert len(runs) == 1, runs
+
+
+SAME_FAILURES = """
+from knowhow import harness
+from knowhow.harness import GenParams, lemma_suite
+
+harness.state_indist = lambda ets, w1, w2, coalition: False
+report = lemma_suite(GenParams(seed=1, history_depth=1), num_systems=1)
+print("\\n".join(report.failures))
+"""
+
+
+def test_failure_lines_print_coalitions_the_same_under_every_string_hash_salt():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    runs = {subprocess.run([sys.executable, "-c", SAME_FAILURES], capture_output=True,
+                           text=True, check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "PYTHONHASHSEED": salt}).stdout
+            for salt in ("1", "2", "3")}
+    assert len(runs) == 1, runs
+    lines = runs.pop().splitlines()
+    assert any(line.startswith("state relation {a0,a1}: not reflexive")
+               for line in lines)
+    assert any(line.startswith("state relation {}: not reflexive") for line in lines)
+
+
+def test_a_system_with_too_many_histories_is_refused_before_any_is_listed(
+        monkeypatch):
+    def unlisted(ets, length):
+        raise AssertionError("listed a level")
+
+    monkeypatch.setattr(harness, "histories_of_length", unlisted)
+    params = GenParams(seed=0, history_depth=10, horizon=12)
+    for suite in (soundness_suite, lemma_suite):
+        with pytest.raises(GenParamsError,
+                           match=f"more than {harness.MAX_HISTORIES} histories "
+                                 "of length at most 10"):
+            suite(params, num_systems=1)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_the_history_count_is_that_of_the_listed_levels(monkeypatch, depth):
+    ets = gen_system(GenParams(seed=4))
+    listed = sum(len(histories_of_length(ets, n)) for n in range(depth + 1))
+    monkeypatch.setattr(harness, "MAX_HISTORIES", listed)
+    harness._check_history_count(ets, depth)
+    monkeypatch.setattr(harness, "MAX_HISTORIES", listed - 1)
+    with pytest.raises(GenParamsError):
+        harness._check_history_count(ets, depth)

@@ -7,13 +7,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import knowhow
-from knowhow import checker, fixtures, formula, harness, proofkit, system
+from knowhow import checker, cli, fixtures, formula, harness, proofkit, system
 from knowhow.fixtures import fixture_text
+from knowhow.harness import MAX_HISTORIES
 from knowhow.proofkit import MAX_OPAQUE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,17 +72,22 @@ def _fresh(args, cwd, **env):
         timeout=60, env={**os.environ, "PYTHONPATH": str(SRC), **env})
 
 
-def _probe(tmp_path, *names):
-    model = tmp_path / "t1.ets"
-    model.write_text(fixture_text("t1"))
-    done = _fresh([str(PROBE), str(model), *names], tmp_path)
+def _run_probe(tmp_path, *args, model="t1.ets"):
+    """The probe's check output, its stderr, and its report, run on ``model``."""
+    (tmp_path / "t1.ets").write_text(fixture_text("t1"))
+    done = _fresh([str(PROBE), str(tmp_path / model), *args], tmp_path)
     assert done.returncode == 0, done.stderr
     *check, last = done.stdout.splitlines()
-    assert "verdict: True" in check and "witness: a=0" in check
     report = json.loads(last)
-    assert report["exit"] == 0
     assert Path(report["file"]).resolve().parent == SRC / "knowhow"
     assert report["registered"] == ["knowhow.harness", "knowhow.proofkit"]
+    return check, done.stderr, report
+
+
+def _probe(tmp_path, *names):
+    check, _, report = _run_probe(tmp_path, *names)
+    assert "verdict: True" in check and "witness: a=0" in check
+    assert report["exit"] == 0
     return report
 
 
@@ -100,6 +107,36 @@ def test_the_first_read_of_a_lazy_name_runs_its_module(tmp_path, name,
                                                        executed, imported):
     report = _probe(tmp_path, name)
     assert (report["executed"], report["imported"]) == (executed, imported)
+
+
+@pytest.mark.parametrize("model, text, message", [
+    ("t1.ets", "K{zz} p", "formula names undeclared agent 'zz'"),
+    ("t1.ets", "p -> $", "unexpected character '$' at offset 5"),
+    ("missing.ets", "K{a} p", "[Errno 2] No such file or directory"),
+], ids=["undeclared-agent", "stray-character", "missing-model"])
+def test_a_fresh_check_that_exits_2_runs_neither_proofkit_nor_harness(
+        tmp_path, model, text, message):
+    # bad input is an ``InputError`` or an ``OSError``: ``main`` names no
+    # error type of a lazy module
+    check, err, report = _run_probe(tmp_path, "--formula", text, model=model)
+    assert (check, report["exit"]) == ([], 2)
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert (report["executed"], report["imported"]) == ([], [])
+
+
+def test_every_exception_the_package_defines_is_an_input_error():
+    defined = {obj for module in (formula, system, checker, proofkit, harness,
+                                  fixtures, cli)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == module.__name__}
+    assert sorted(c.__name__ for c in defined) == [
+        "FormulaSyntaxError", "GenParamsError", "HorizonError", "InputError",
+        "InvalidHistoryError", "ModelFormatError", "NestingError",
+        "OpaqueLimitError", "ProofFormatError", "RegularityError",
+        "UndeclaredAgentError"]
+    assert all(issubclass(c, formula.InputError) for c in defined)
+    assert issubclass(formula.InputError, ValueError)
 
 
 def _opaque_proof(tmp_path):
@@ -128,12 +165,18 @@ def _check(formula_text):
     (_opaque_proof, "line 1: too many distinct opaque subformulas (23, limit 22)"),
     (lambda tmp_path: ["fuzz", "--systems", "-1"],
      "system and instance counts must be non-negative"),
-], ids=["check-syntax", "check-agent", "prove-format", "prove-opaque", "fuzz-systems"])
+    # past MAX_HISTORIES: counted before any history is listed
+    (lambda tmp_path: ["fuzz", "--depth", "10"],
+     f"a generated system has more than {MAX_HISTORIES} histories of length at most 10"),
+    (lambda tmp_path: ["fuzz", "--agents", "12", "--systems", "1"],
+     f"a generated system has more than {MAX_HISTORIES} histories of length at most 3"),
+], ids=["check-syntax", "check-agent", "prove-format", "prove-opaque", "fuzz-systems",
+        "fuzz-depth", "fuzz-agents"])
 def test_a_fresh_process_reports_usage_errors_with_exit_2(tmp_path, argv, message):
-    # main's error tuple names proofkit's and harness's error types, so
-    # reaching it runs those modules from their unexecuted state
+    start = time.perf_counter()
     done = _fresh(["-c", "import sys; from knowhow.cli import main; "
                          "sys.exit(main(sys.argv[1:]))", *argv(tmp_path)], tmp_path)
+    assert time.perf_counter() - start < 5.0
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith(f"error: {message}")
     assert done.stderr.count("\n") == 1
