@@ -56,11 +56,9 @@ evaluators read these, and the horizon floor, from one fold of the formula
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import (
     MAX_NESTING, Atom, Coalition, Falsum, Formula, How, Implies, Know,
-    InputError, NestingError, Not, _operands, measures,
+    InputError, NestingError, Not, _operands, _Record, measures,
 )
 from .system import (
     EpistemicTransitionSystem, History, Profile, histories_of_length,
@@ -80,8 +78,7 @@ class UndeclaredAgentError(InputError):
     """The formula names an agent that the system does not declare."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of one evaluation.
 
     ``bounded`` is False whenever the formula has no empty-coalition
@@ -94,11 +91,17 @@ class Verdict:
     class (the know-how witness), or the empty profile for ``H{}``.
     """
 
-    value: bool
-    bounded: bool = False
-    horizon_used: int = 0
-    counterexample: History | None = None
-    strategy: Profile | None = None
+    __slots__ = ("value", "bounded", "horizon_used", "counterexample", "strategy")
+
+    def __init__(self, value: bool, bounded: bool = False, horizon_used: int = 0,
+                 counterexample: History | None = None,
+                 strategy: Profile | None = None):
+        _set = object.__setattr__
+        _set(self, "value", value)
+        _set(self, "bounded", bounded)
+        _set(self, "horizon_used", horizon_used)
+        _set(self, "counterexample", counterexample)
+        _set(self, "strategy", strategy)
 
     def __bool__(self) -> bool:
         return self.value

@@ -1,19 +1,19 @@
 """Bundled example systems and their documented satisfaction claims."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checker import Verdict, evaluate
-from .formula import Formula, parse
+from .formula import Formula, _Record, parse
 from .system import EpistemicTransitionSystem, History, load_system, parse_history
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Record):
     """One named claim; a claim may pin the same formula at several histories."""
 
-    label: str
-    checks: tuple[tuple[str, str, bool], ...]  # (history literal, formula, expected)
+    __slots__ = ("label", "checks")
+
+    def __init__(self, label: str, checks: tuple[tuple[str, str, bool], ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "checks", checks)  # (history literal, formula, expected)
 
 
 T1_CLAIMS: tuple[Claim, ...] = (

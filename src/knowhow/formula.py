@@ -23,14 +23,18 @@ parser reads them by index, one call per operand level (see
 the tokens' total length with the text's non-space characters; token
 offsets are computed only when an error names one.
 
-A node's hash is folded from its operands' stored hashes at construction,
-so equal trees hash alike however they were built.
+Nodes are plain ``__slots__`` classes with hand-written constructors,
+equality and hashing, and refuse attribute assignment.  A node's hash is
+folded from its operands' stored hashes at construction, so equal trees
+hash alike however they were built, and equality compares those hashes
+before the operands.  The module imports neither ``dataclasses`` nor
+``typing``, which would cost a ``knowhow check`` process more than the
+check itself.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 Coalition = frozenset[str]
 
@@ -62,12 +66,62 @@ class NestingError(InputError):
     """A formula built in code nests deeper than ``MAX_NESTING`` levels."""
 
 
-class Formula:
+class _Frozen:
+    """Refuses attribute assignment and deletion, as a frozen dataclass does.
+
+    Constructors write their slots through ``object.__setattr__`` or the
+    slots' descriptors.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
+    """An immutable value whose class's own ``__slots__`` are its
+    constructor's parameters, in order.
+
+    Equality, hashing, ``repr`` and pickling go by those fields, as a frozen
+    dataclass's do; a copy is rebuilt through the constructor.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Formula(_Record):
     """Base class for formula nodes; trees are immutable and compare structurally.
 
     ``str`` and ``repr`` fold the tree without recursion (see :func:`_fold`),
-    so they print formulas of any depth.
+    so they print formulas of any depth.  Every node keeps its hash in
+    ``_h``, which its class's ``__eq__`` compares first, and :func:`measures`
+    keeps its result in ``_measures``.
     """
+
+    __slots__ = ("_h", "_measures")
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -82,66 +136,104 @@ def _cached_hash(self):
     return self._h
 
 
-@dataclass(frozen=True, repr=False)
+# the constructors and :func:`measures` write the slots through their
+# descriptors, which is faster than ``object.__setattr__``
+_set_h = Formula._h.__set__
+_set_measures = Formula._measures.__set__
+
+_FALSUM_H = hash("Falsum")
+
+
 class Falsum(Formula):
+    __slots__ = ()
     __hash__ = _cached_hash
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash("Falsum"))
+    def __init__(self):
+        _set_h(self, _FALSUM_H)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ or NotImplemented
 
 
-@dataclass(frozen=True, repr=False)
 class Atom(Formula):
-    name: str
-
+    __slots__ = ("name",)
     __hash__ = _cached_hash
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Atom", self.name)))
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_h(self, hash(("Atom", name)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
 
 
-@dataclass(frozen=True, repr=False)
 class Not(Formula):
-    sub: Formula
-
+    __slots__ = ("sub",)
     __hash__ = _cached_hash
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Not", self.sub._h)))
+    def __init__(self, sub: Formula):
+        _set_not_sub(self, sub)
+        _set_h(self, hash(("Not", sub._h)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the tuple compares operands by identity before ``==``
+        return self._h == other._h and (self.sub,) == (other.sub,)
 
 
-@dataclass(frozen=True, repr=False)
 class Implies(Formula):
-    left: Formula
-    right: Formula
-
+    __slots__ = ("left", "right")
     __hash__ = _cached_hash
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Implies", self.left._h, self.right._h)))
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_h(self, hash(("Implies", left._h, right._h)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._h == other._h
+                and (self.left, self.right) == (other.left, other.right))
 
 
-@dataclass(frozen=True, repr=False)
+def _modal_eq(self, other):  # Know's and How's
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return (self._h == other._h
+            and (self.coalition, self.sub) == (other.coalition, other.sub))
+
+
 class Know(Formula):
-    coalition: Coalition
-    sub: Formula
-
+    __slots__ = ("coalition", "sub")
     __hash__ = _cached_hash
+    __eq__ = _modal_eq
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Know", self.coalition, self.sub._h)))
+    def __init__(self, coalition: Coalition, sub: Formula):
+        _set_know_coalition(self, coalition)
+        _set_know_sub(self, sub)
+        _set_h(self, hash(("Know", coalition, sub._h)))
 
 
-@dataclass(frozen=True, repr=False)
 class How(Formula):
-    coalition: Coalition
-    sub: Formula
-
+    __slots__ = ("coalition", "sub")
     __hash__ = _cached_hash
+    __eq__ = _modal_eq
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("How", self.coalition, self.sub._h)))
+    def __init__(self, coalition: Coalition, sub: Formula):
+        _set_how_coalition(self, coalition)
+        _set_how_sub(self, sub)
+        _set_h(self, hash(("How", coalition, sub._h)))
 
+
+_set_name = Atom.name.__set__
+_set_not_sub = Not.sub.__set__
+_set_left, _set_right = Implies.left.__set__, Implies.right.__set__
+_set_know_coalition, _set_know_sub = Know.coalition.__set__, Know.sub.__set__
+_set_how_coalition, _set_how_sub = How.coalition.__set__, How.sub.__set__
 
 #: ``true`` desugars to this node.
 TOP = Not(Falsum())
@@ -377,13 +469,14 @@ def _fold(f: Formula, combine):
     return done[id(f)]
 
 
-class Measures(NamedTuple):
-    """What the checker's preconditions read of a formula."""
+Measures = namedtuple("Measures", "nesting h_depth uses_empty_coalition agents")
+Measures.__doc__ = """What the checker's preconditions read of a formula.
 
-    nesting: int  # see :func:`nesting`
-    h_depth: int  # see :func:`h_depth`
-    uses_empty_coalition: bool  # see :func:`uses_empty_coalition`
-    agents: frozenset[str]  # every agent some coalition of the formula names
+``nesting``, ``h_depth`` and ``uses_empty_coalition`` are what :func:`nesting`,
+:func:`h_depth` and :func:`uses_empty_coalition` return, and ``agents`` is the
+frozenset of every agent that some coalition of the formula names.  A plain
+``collections.namedtuple``, so reading the module imports no ``typing``.
+"""
 
 
 def measures(f: Formula) -> Measures:
@@ -404,7 +497,7 @@ def measures(f: Formula) -> Measures:
 
 def _kept_measures(g: Formula, parts: list[Measures]) -> Measures:
     found = _measure_node(g, parts)
-    object.__setattr__(g, "_measures", found)
+    _set_measures(g, found)
     return found
 
 

@@ -119,8 +119,19 @@ def gen_system(params: GenParams) -> EpistemicTransitionSystem:
 MAX_HISTORIES = 100_000
 
 
-def _check_history_count(ets: EpistemicTransitionSystem, depth: int) -> None:
-    """Refuse ``ets`` if it has over ``MAX_HISTORIES`` histories of length <= ``depth``.
+#: Most histories of length <= ``history_depth`` times nonempty coalitions
+#: that the lemma suite checks per system: it checks every level once per
+#: nonempty coalition, so its work grows with both.  On a 2-vCPU Xeon VM
+#: (Python 3.11), ``fuzz --systems 1 --instances 1`` took 2.7 s at 99,932
+#: (three agents, two states, depth 4) and 0.5 s at 34k (three agents,
+#: other parameters at their defaults); four agents at the defaults make
+#: 368k-617k.  CLI defaults stay under 3.1k, the tests under 27k.
+MAX_LEMMA_PAIRS = 100_000
+
+
+def _check_history_count(ets: EpistemicTransitionSystem, depth: int) -> int:
+    """The number of histories of ``ets`` of length <= ``depth``; refuse
+    ``ets`` if it has over ``MAX_HISTORIES`` of them.
 
     Counted per length from the states' moves, building no history; every
     length adds at least one, so the loop ends within ``MAX_HISTORIES`` steps.
@@ -133,6 +144,7 @@ def _check_history_count(ets: EpistemicTransitionSystem, depth: int) -> None:
             raise GenParamsError(f"a generated system has more than {MAX_HISTORIES} "
                                  f"histories of length at most {depth}")
         starting = {w: sum(starting[w2] for _, w2 in ets.successors(w)) for w in ets.states}
+    return total
 
 
 def gen_coalition(rng: random.Random, agents: tuple[str, ...],
@@ -505,7 +517,13 @@ def lemma_suite(params: GenParams, num_systems: int = 5,
     for i in range(num_systems):
         systems.append(gen_system(replace(params, seed=params.seed * 7_368_787 + i)))
     for index, ets in enumerate(systems):
-        _check_history_count(ets, params.history_depth)
+        histories = _check_history_count(ets, params.history_depth)
+        coalitions = (1 << len(ets.agents)) - 1  # nonempty ones
+        if histories * coalitions > MAX_LEMMA_PAIRS:
+            raise GenParamsError(
+                f"a generated system has {histories} histories of length at most "
+                f"{params.history_depth} and {coalitions} nonempty coalitions, more "
+                f"than {MAX_LEMMA_PAIRS} pairs for the lemma suite")
         report.systems += 1
         rng = _rng(params, "lemma", index)
         states = sorted(ets.states)

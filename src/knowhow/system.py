@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
-from .formula import Coalition, IDENT_RE, InputError, _cached_hash
+from .formula import Coalition, IDENT_RE, InputError, _cached_hash, _Frozen
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
 TRANS_RE = re.compile(r"trans\s+(\S+)\s+\[([^\]]*)\]\s+(\S+)")
@@ -60,22 +59,53 @@ def check_profile_count(num_agents: int, num_choices: int,
                     f"than {MAX_PROFILES} complete profiles")
 
 
-@dataclass(frozen=True, order=True)
-class Profile:
+class Profile(_Frozen):
     """Immutable assignment of one choice to each agent in its domain.
 
     Used both for complete profiles (domain = all agents of the system) and
     for coalition strategy profiles (domain = the coalition).  The agent to
     choice map ``_choice`` is built once, so a vote lookup costs O(1).
+    Profiles compare, hash and order by ``votes``.
     """
 
-    votes: tuple[tuple[str, str], ...]  # sorted (agent, choice) pairs
-
+    __slots__ = ("votes", "_h", "_choice")  # votes: sorted (agent, choice) pairs
     __hash__ = _cached_hash
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(self.votes))
-        object.__setattr__(self, "_choice", dict(self.votes))
+    def __init__(self, votes: tuple[tuple[str, str], ...]):
+        _set_votes(self, votes)
+        _set_h(self, hash(votes))
+        _set_choice(self, dict(votes))
+
+    def __reduce__(self):
+        return Profile, (self.votes,)
+
+    def __repr__(self) -> str:
+        return f"Profile(votes={self.votes!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.votes == other.votes
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.votes < other.votes
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.votes <= other.votes
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.votes > other.votes
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.votes >= other.votes
 
     @classmethod
     def of(cls, mapping: Mapping[str, str]) -> "Profile":
@@ -90,6 +120,12 @@ class Profile:
 
     def __str__(self) -> str:
         return ",".join(f"{a}={c}" for a, c in self.votes)
+
+
+# ``_Frozen`` refuses assignment; the constructor writes through the slots'
+# descriptors
+_set_votes, _set_h, _set_choice = (
+    Profile.votes.__set__, Profile._h.__set__, Profile._choice.__set__)
 
 
 def profile_agrees(s1: Profile, s2: Profile, coalition: Coalition) -> bool:

@@ -11,7 +11,7 @@ standard modules the import and the check loaded.
 """
 import sys
 
-WATCHED = ("hashlib", "importlib.resources", "json")
+WATCHED = ("dataclasses", "hashlib", "importlib.resources", "inspect", "json", "typing")
 LAZY = {"knowhow.proofkit": "verify", "knowhow.harness": "lemma_suite"}
 
 model, *names = sys.argv[1:]

@@ -492,7 +492,8 @@ def test_a_closed_walk_gives_the_oracle_verdict_and_keeps_it(n):
             assert verdict == evaluate_naive(ets, h, f, horizon), (text, str(h))
             assert verdict.bounded
             wider = evaluate(ets, h, f, horizon + 3)
-            assert wider == replace(verdict, horizon_used=horizon + 3), (text, str(h))
+            assert wider == Verdict(verdict.value, verdict.bounded, horizon + 3,
+                                    verdict.counterexample, verdict.strategy), (text, str(h))
 
 
 def test_a_closed_walk_steps_as_often_at_any_horizon(t1, monkeypatch):

@@ -257,7 +257,8 @@ def test_nesting_measures_formulas_too_deep_to_print():
 
 
 def _size(f: Formula) -> int:
-    return 1 + sum(_size(g) for g in vars(f).values() if isinstance(g, Formula))
+    fields = (getattr(f, name) for name in f.__slots__)  # the node's own fields
+    return 1 + sum(_size(g) for g in fields if isinstance(g, Formula))
 
 
 @given(formulas())

@@ -400,6 +400,23 @@ def test_a_system_with_too_many_histories_is_refused_before_any_is_listed(
             suite(params, num_systems=1)
 
 
+def test_the_lemma_suite_refuses_past_its_history_and_coalition_pairs(monkeypatch):
+    # 31,989 histories of length <= 3 times 15 nonempty coalitions; the cap
+    # is decided before any level is listed
+    def unlisted(ets, length):
+        raise AssertionError("listed a level")
+
+    monkeypatch.setattr(harness, "histories_of_length", unlisted)
+    params = GenParams(seed=0, num_agents=4)
+    monkeypatch.setattr(harness, "MAX_LEMMA_PAIRS", 31989 * 15 - 1)
+    with pytest.raises(GenParamsError, match="31989 histories of length at most 3 "
+                                             "and 15 nonempty coalitions"):
+        lemma_suite(params, num_systems=1)
+    monkeypatch.setattr(harness, "MAX_LEMMA_PAIRS", 31989 * 15)
+    with pytest.raises(AssertionError, match="listed a level"):
+        lemma_suite(params, num_systems=1)
+
+
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_the_history_count_is_that_of_the_listed_levels(monkeypatch, depth):
     ets = gen_system(GenParams(seed=4))

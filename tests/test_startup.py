@@ -15,7 +15,7 @@ import pytest
 import knowhow
 from knowhow import checker, cli, fixtures, formula, harness, proofkit, system
 from knowhow.fixtures import fixture_text
-from knowhow.harness import MAX_HISTORIES
+from knowhow.harness import MAX_HISTORIES, MAX_LEMMA_PAIRS
 from knowhow.proofkit import MAX_OPAQUE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -98,10 +98,12 @@ def test_a_fresh_check_runs_neither_proofkit_nor_harness(tmp_path):
 
 
 @pytest.mark.parametrize("name, executed, imported", [
-    ("verify", ["knowhow.proofkit"], []),
-    ("ProofFormatError", ["knowhow.proofkit"], []),
+    # the lazy modules keep their dataclasses, which import ``inspect``
+    ("verify", ["knowhow.proofkit"], ["dataclasses", "inspect"]),
+    ("ProofFormatError", ["knowhow.proofkit"], ["dataclasses", "inspect"]),
     # the harness imports proofkit's schema matcher, and hashes its seeds
-    ("lemma_suite", ["knowhow.harness", "knowhow.proofkit"], ["hashlib"]),
+    ("lemma_suite", ["knowhow.harness", "knowhow.proofkit"],
+     ["dataclasses", "hashlib", "inspect"]),
 ])
 def test_the_first_read_of_a_lazy_name_runs_its_module(tmp_path, name,
                                                        executed, imported):
@@ -170,8 +172,13 @@ def _check(formula_text):
      f"a generated system has more than {MAX_HISTORIES} histories of length at most 10"),
     (lambda tmp_path: ["fuzz", "--agents", "12", "--systems", "1"],
      f"a generated system has more than {MAX_HISTORIES} histories of length at most 3"),
+    # past MAX_LEMMA_PAIRS: refused after the soundness suite, before the
+    # lemma suite lists any level
+    (lambda tmp_path: ["fuzz", "--agents", "4", "--systems", "1", "--instances", "1"],
+     "a generated system has 31989 histories of length at most 3 and 15 nonempty "
+     f"coalitions, more than {MAX_LEMMA_PAIRS} pairs for the lemma suite"),
 ], ids=["check-syntax", "check-agent", "prove-format", "prove-opaque", "fuzz-systems",
-        "fuzz-depth", "fuzz-agents"])
+        "fuzz-depth", "fuzz-agents", "fuzz-lemma-pairs"])
 def test_a_fresh_process_reports_usage_errors_with_exit_2(tmp_path, argv, message):
     start = time.perf_counter()
     done = _fresh(["-c", "import sys; from knowhow.cli import main; "

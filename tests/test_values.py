@@ -1,0 +1,124 @@
+"""Value semantics of the immutable classes on the check path: formula
+nodes, ``Profile``, ``Verdict``, ``Claim`` and ``Measures``.
+
+They are plain ``__slots__`` classes, so these tests pin what the frozen
+dataclasses they replaced gave: structural equality within a class,
+hashing, ``Profile``'s ordering, the exact ``repr`` and refused assignment.
+"""
+import copy
+import pickle
+
+import pytest
+
+from knowhow.checker import Verdict
+from knowhow.fixtures import Claim
+from knowhow.formula import (
+    TOP, Atom, Falsum, How, Implies, Know, Measures, Not, measures, parse,
+)
+from knowhow.system import History, Profile
+
+a = frozenset({"a"})
+ab = frozenset({"a", "b"})
+p, q = Atom("p"), Atom("q")
+
+NODES = [Falsum(), p, Not(p), Implies(p, q), Know(a, p), How(a, p)]
+
+
+def _values():
+    h = History(("w0", "w1"), (Profile.of({"a": "1"}),))
+    return [*NODES, Profile.of({"a": "0"}), Verdict(False, True, 4, h),
+            Claim("label", (("w0", "p", True),))]
+
+
+def test_nodes_equal_within_their_class_and_never_across_classes():
+    assert parse("K{b,a} !p -> H{} (false -> true)") == Implies(
+        Know(ab, Not(p)), How(frozenset(), Implies(Falsum(), TOP)))
+    assert Falsum() == Falsum() and Not(Falsum()) == TOP
+    assert p != q and Implies(p, q) != Implies(q, p) and Know(a, p) != Know(ab, p)
+    for i, x in enumerate(NODES):
+        for j, y in enumerate(NODES):
+            assert (x == y) is (i == j), (x, y)
+    # Know and How with the same operands differ; a node is not its name
+    assert Know(a, p) != How(a, p) and p != "p" and Falsum() != ()
+
+
+def test_node_hashes_fold_the_operands_hashes():
+    assert hash(Falsum()) == hash("Falsum")
+    assert hash(p) == hash(("Atom", "p"))
+    assert hash(Not(p)) == hash(("Not", hash(p)))
+    assert hash(Implies(p, q)) == hash(("Implies", hash(p), hash(q)))
+    assert hash(Know(a, p)) == hash(("Know", a, hash(p)))
+    assert hash(How(a, p)) == hash(("How", a, hash(p)))
+    assert hash(parse("H{b,a} (p -> q)")) == hash(How(ab, Implies(p, q)))
+
+
+def test_profiles_hash_and_order_by_their_votes():
+    profiles = [Profile.of(dict(zip("ab", votes))) for votes in ("11", "01", "10", "00")]
+    assert [str(s) for s in sorted(profiles)] == ["a=0,b=0", "a=0,b=1", "a=1,b=0",
+                                                   "a=1,b=1"]
+    assert sorted(profiles) == sorted(profiles, key=lambda s: s.votes)
+    low, high = Profile.of({"a": "0"}), Profile.of({"a": "1"})
+    assert low < high and low <= high and high > low and high >= low
+    assert low <= Profile.of({"a": "0"}) >= low and not low < Profile.of({"a": "0"})
+    assert hash(low) == hash(low.votes) and low == Profile((("a", "0"),)) != high
+    with pytest.raises(TypeError):
+        low < low.votes
+
+
+def test_the_repr_names_every_field():
+    h = History(("w0", "w1"), (Profile.of({"a": "1"}),))
+    assert repr(Profile.of({"b": "1", "a": "0"})) == "Profile(votes=(('a', '0'), ('b', '1')))"
+    assert repr(Verdict(False, True, 4, h)) == (
+        "Verdict(value=False, bounded=True, horizon_used=4, counterexample="
+        "History(states=('w0', 'w1'), profiles=(Profile(votes=(('a', '1'),)),)), "
+        "strategy=None)")
+    assert repr(Verdict(True, strategy=Profile.of({"a": "0"}))) == (
+        "Verdict(value=True, bounded=False, horizon_used=0, counterexample=None, "
+        "strategy=Profile(votes=(('a', '0'),)))")
+    assert repr(Claim("forces p", (("w0 ; a=1 ; w1", "H{a} p", True),))) == (
+        "Claim(label='forces p', checks=(('w0 ; a=1 ; w1', 'H{a} p', True),))")
+    assert repr(parse("K{a} !p -> false")) == (
+        "Implies(Know({'a'}, Not(Atom('p'))), Falsum())")
+
+
+def test_verdicts_and_claims_compare_and_hash_by_their_fields():
+    v = Verdict(True, strategy=Profile.of({"a": "0"}))
+    assert v == Verdict(True, False, 0, None, Profile.of({"a": "0"}))
+    assert hash(v) == hash(Verdict(True, strategy=Profile.of({"a": "0"})))
+    assert v != Verdict(True) and Verdict(True) != Verdict(True, horizon_used=1)
+    assert bool(v) and not Verdict(False)
+    claim = Claim("x", (("w0", "p", True),))
+    assert claim == Claim(label="x", checks=(("w0", "p", True),)) != Claim("y", claim.checks)
+    assert hash(claim) == hash(Claim("x", (("w0", "p", True),)))
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_assignment_and_deletion_raise_attribute_error(value):
+    assert not hasattr(value, "__dict__")
+    before = repr(value)
+    for name in (*type(value).__slots__, "_h", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_copies_are_rebuilt_equal(value):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value)
+        assert type(twin) is type(value)
+
+
+def test_measures_is_a_named_tuple_with_replace():
+    m = measures(parse("!K{a} H{} p"))
+    assert m == Measures(nesting=3, h_depth=1, uses_empty_coalition=True,
+                         agents=a)
+    assert Measures._fields == ("nesting", "h_depth", "uses_empty_coalition",
+                                "agents")
+    wider = m._replace(nesting=7)
+    assert type(wider) is Measures and wider == (7, 1, True, a)
+    assert repr(wider) == ("Measures(nesting=7, h_depth=1, "
+                           "uses_empty_coalition=True, agents=frozenset({'a'}))")
