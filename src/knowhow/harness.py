@@ -11,12 +11,16 @@ semantic laws of the modalities.  Both are deterministic in the seed.
 The history-relation check is the lemma suite's main cost.  Its pair set is
 fixed by the seed: per level and coalition, all pairs inside small
 signature buckets, representative pairs and a sample inside big ones, and a
-capped sample across buckets, so O(level size) pairs.  Each pair is one
-``hist_indist`` call of O(length x |C|) lookups.  Past length 0 a related
-pair is checked again on its decomposition.  A history's prefix is its
-parent in the level below, and the prefix pair, the last-profile pair and
-the head pair are each decided once per distinct pair per level and
-coalition, however many related pairs share them.
+capped sample across buckets, so O(level size) pairs.  A signature is
+the tuple of the members' parts, and each agent's part of every history
+is built once per level and shared by every coalition that contains the
+agent.  Each pair is one ``hist_indist`` call of O(length x |C|) lookups,
+so the signatures only choose the pairs and never answer one.  Past
+length 0 a related pair is checked again on its decomposition.  A
+history's prefix is its parent in the level below, and the prefix pair,
+the last-profile pair and the head pair are each decided once per
+distinct pair per level and coalition, however many related pairs share
+them.
 """
 from __future__ import annotations
 
@@ -424,36 +428,47 @@ def _coalitions(agents: frozenset[str], include_empty: bool):
     return out
 
 
-def _history_signature(h: History, tables: tuple) -> tuple:
-    # independent unfolding of per-agent indistinguishability: block ids of
-    # the visited states plus the member's own votes, per member
-    return tuple(
-        (tuple(table[w] for w in h.states),
-         tuple(s[a] for s in h.profiles))
-        for a, table in tables)
+def _signature_column(ets, agent: str, length: int, columns: dict) -> list:
+    """One agent's part of every history's signature on one level.
+
+    An independent unfolding of per-agent indistinguishability: the block
+    ids of the visited states, read from the declared partition
+    ``ets.indist``, plus the agent's own votes.  ``columns`` keeps each
+    (agent, level) column for every coalition that contains the agent.
+    """
+    column = columns.get((agent, length))
+    if column is None:
+        table = {w: i for i, block in enumerate(ets.indist[agent]) for w in block}
+        column = columns[agent, length] = [
+            (tuple(map(table.__getitem__, h.states)),
+             tuple(s[agent] for s in h.profiles))
+            for h in histories_of_length(ets, length)]
+    return column
 
 
 def _check_history_relation(ets, coalition: Coalition, length: int,
                             rng: random.Random, report: LemmaReport,
-                            label: str) -> None:
+                            label: str, columns: dict | None = None) -> None:
     """Check ``hist_indist`` for ``coalition`` on one level against the signatures.
 
-    The pairs, and the draws they take from ``rng``, depend only on the
-    level and its signature buckets, so ``relation_checks`` counts the same
-    pairs however cheap each check is.  A bucket of b histories gives b^2
-    pairs when b <= 12 and 2b + 100 otherwise; past length 0 a related pair
-    is checked again on its decomposition.  Across buckets there are at
-    most 200 + (number of buckets) pairs.
+    A history's signature is the tuple of its sorted members' parts, taken
+    from the per-agent ``columns`` of :func:`_signature_column` (a fresh
+    dict when none is given).  The pairs, and the draws they take from
+    ``rng``, depend only on the level and its signature buckets, so
+    ``relation_checks`` counts the same pairs however cheap each check is.
+    A bucket of b histories gives b^2 pairs when b <= 12 and 2b + 100
+    otherwise; past length 0 a related pair is checked again on its
+    decomposition.  Across buckets there are at most 200 + (number of
+    buckets) pairs.
     """
     hs = histories_of_length(ets, length)
-    # each member's state -> block-index table, unfolded once per level from
-    # the declared partition ``ets.indist``, not looked up once per state
-    tables = tuple((a, {w: i for i, block in enumerate(ets.indist[a]) for w in block})
-                   for a in sorted(coalition))
+    if columns is None:
+        columns = {}
     # histories are named by their index in the level
     buckets: dict[tuple, list[int]] = {}
-    for i, h in enumerate(hs):
-        buckets.setdefault(_history_signature(h, tables), []).append(i)
+    parts = [_signature_column(ets, a, length, columns) for a in sorted(coalition)]
+    for i, signature in enumerate(zip(*parts)):
+        buckets.setdefault(signature, []).append(i)
 
     # decomposition: a related pair of extended histories has a related
     # prefix pair, last profiles that agree and indistinct heads.  A level
@@ -544,10 +559,12 @@ def lemma_suite(params: GenParams, num_systems: int = 5,
             for problem in check_equivalence(profiles, prel):
                 report.failures.append(f"profile relation {name}: {problem}")
 
+        # each agent's signature column per level, shared by its coalitions
+        columns: dict[tuple[str, int], list] = {}
         for coalition in _coalitions(ets.agents, include_empty=False):
             for length in range(params.history_depth + 1):
                 _check_history_relation(ets, coalition, length, rng, report,
-                                        f"system {index}")
+                                        f"system {index}", columns)
             # nonempty coalitions never relate histories of different lengths
             h_short = histories_of_length(ets, 0)[0]
             for length in range(1, params.history_depth + 1):

@@ -369,22 +369,36 @@ def hist_indist(ets: EpistemicTransitionSystem, h1: History, h2: History,
     The empty coalition relates any two histories.  Otherwise the histories
     must have equal length, corresponding states must be indistinguishable to
     every member, and corresponding profiles must agree on every member.
-    Each member's block table is read once; an agent or a state outside the
-    system raises ``KeyError``, as in :func:`state_indist`.
+    Each member's block table is read once, and a position whose two
+    profiles are the same object is skipped, since a profile agrees with
+    itself.
+
+    Nothing is validated up front: the relation reads members' blocks and
+    votes in turn, answers False at the first difference, and raises
+    ``KeyError`` only from a lookup it makes before that.  So unequal
+    lengths give False even for a coalition that names no agent of the
+    system.  With equal lengths a member or state outside the system raises
+    ``KeyError`` when it is reached, which is always the case for a
+    history compared with itself, but histories that a member tells apart
+    at an earlier lookup give False.
     """
     if not coalition:
         return True
     states1, states2 = h1.states, h2.states
     if len(states1) != len(states2):
         return False
+    blocks = ets._block
     for agent in coalition:
-        block = ets._block[agent]
+        block = blocks[agent]
         for w1, w2 in zip(states1, states2):
             if block[w1] != block[w2]:
                 return False
     for s1, s2 in zip(h1.profiles, h2.profiles):
-        if not profile_agrees(s1, s2, coalition):
-            return False
+        if s1 is not s2:
+            c1, c2 = s1._choice, s2._choice
+            for agent in coalition:
+                if c1[agent] != c2[agent]:
+                    return False
     return True
 
 

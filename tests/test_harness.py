@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import re
@@ -153,6 +154,41 @@ def test_lemma_suite_counts_are_pinned(seed, relation_checks, property_checks):
     assert report.failures == []
     assert report.relation_checks == relation_checks
     assert report.property_checks == property_checks
+
+
+@pytest.mark.parametrize("seed, calls", [(1, 9599), (2, 11829), (3, 9909)])
+def test_every_pair_still_reaches_the_relation_under_test(monkeypatch, seed,
+                                                          calls):
+    # counts recorded before the signatures were shared among coalitions:
+    # no pair may be answered from its signature instead of hist_indist
+    made = []
+
+    def counted(ets, h1, h2, coalition):
+        made.append(None)
+        return hist_indist(ets, h1, h2, coalition)
+
+    monkeypatch.setattr(harness, "hist_indist", counted)
+    lemma_suite(GenParams(seed=seed), num_systems=1)
+    assert len(made) == calls
+
+
+# three agents give seven coalitions, so each agent's signature column is
+# shared four ways; counts and the sha256 of the sorted JSON report were
+# recorded before the columns were shared
+@pytest.mark.parametrize("seed, relation_checks, property_checks, digest", [
+    (1, 34281, 42, "9a8ad00d07e44d33a7c55ac9e4598c91456f5a5f4d94646048a79fe0bbe65388"),
+    (2, 34701, 40, "69402326321d87f0f65916fdf8cc1590fdf9d6317557f29d67019e802d2cc923"),
+    (3, 37044, 41, "4e7b40a081e0e81cb61632f19a6c775568b14c1b5ae89e3993d04034260f1f27"),
+])
+def test_three_agent_lemma_report_is_pinned(seed, relation_checks,
+                                            property_checks, digest):
+    report = lemma_suite(GenParams(seed=seed, num_agents=3, history_depth=2),
+                         num_systems=1)
+    assert report.failures == []
+    assert report.relation_checks == relation_checks
+    assert report.property_checks == property_checks
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_history_signatures_read_no_block_through_the_validating_lookup(monkeypatch):

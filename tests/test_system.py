@@ -228,6 +228,43 @@ def test_relations_still_raise_key_error_outside_the_system(t1):
         hist_indist(t1, h(t1, "w0"), stranger, A)
 
 
+def test_hist_indist_answers_false_before_reaching_what_is_outside_the_system(t1):
+    # the first difference decides; a lookup past it is never made
+    s = Profile.of({"a": "0"})
+    assert not hist_indist(t1, h(t1, "w0 ; a=1 ; w1"),
+                           History(("w2", "nope"), (s,)), A)
+    # unequal lengths decide before any member is looked up
+    assert not hist_indist(t1, h(t1, "w0"), h(t1, "w0 ; a=1 ; w1"),
+                           frozenset({"z"}))
+
+
+def test_hist_indist_answers_alike_for_equal_profiles_that_are_other_objects(t2):
+    # the same profile object agrees with itself without a lookup; equal
+    # profiles built afresh must get the same answers the long way
+    def rebuilt(g):
+        return History(g.states, tuple(Profile.of(dict(s.votes)) for s in g.profiles))
+
+    level1, level2 = histories_of_length(t2, 1), histories_of_length(t2, 2)
+    pairs = [(g1, g2) for n in range(2) for g1 in histories_of_length(t2, n)
+             for g2 in histories_of_length(t2, n)]
+    pairs += [(g1, g2) for g1 in level2[::8] for g2 in level2]
+    fresh = {g: rebuilt(g) for g in (*level1, *level2)}
+    for g, r in fresh.items():
+        assert r == g
+        assert all(s is not t for s, t in zip(r.profiles, g.profiles))
+    coalitions = [frozenset(c) for n in range(len(t2.agents) + 1)
+                  for c in itertools.combinations(sorted(t2.agents), n)]
+    related = 0
+    for c in coalitions:
+        for g1, g2 in pairs:
+            expected = hist_indist(t2, g1, g2, c)
+            r1, r2 = fresh.get(g1, g1), fresh.get(g2, g2)
+            assert hist_indist(t2, r1, r2, c) == expected, (g1, g2, c)
+            assert hist_indist(t2, r1, g2, c) == expected, (g1, g2, c)
+            related += bool(c) and expected and g1 != g2
+    assert related > 0  # some distinct pairs are related by a nonempty coalition
+
+
 def test_extensions_of_sink_state(t1):
     exts = set(extensions(t1, h(t1, "w2")))
     assert exts == {h(t1, "w2 ; a=0 ; w2"), h(t1, "w2 ; a=1 ; w2")}
