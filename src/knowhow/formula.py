@@ -21,7 +21,9 @@ strings ending in ``""`` for the end of input, and a recursive-descent
 parser reads them by index, one call per operand level (see
 ``MAX_NESTING``).  A character that starts no token is found by comparing
 the tokens' total length with the text's non-space characters; token
-offsets are computed only when an error names one.
+offsets are computed only when an error names one.  A memo of the token
+sequences already parsed, which a caller may pass to :func:`parse`, lets
+the formulas of one proof file share each equal subformula as one node.
 
 Nodes are plain ``__slots__`` classes with hand-written constructors,
 equality and hashing, and refuse attribute assignment.  A node's hash is
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import compress, count
 
 Coalition = frozenset[str]
 
@@ -247,6 +250,7 @@ _UNARY_START = ("'!'", _IDENT, "'true'", "'false'", "'('")
 
 # every token text that is not an identifier; ``""`` ends the input
 _NOT_IDENT = frozenset({"->", "!", "{", "}", "(", ")", ",", "true", "false", ""})
+_PARENS = frozenset("()")
 
 _TOKEN = re.compile(r"->|[!{}(),]|" + IDENT_RE.pattern)
 
@@ -257,7 +261,7 @@ _TOKEN = re.compile(r"->|[!{}(),]|" + IDENT_RE.pattern)
 _SCANNER = re.compile("(" + _TOKEN.pattern + r")|(\S)")
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str) -> tuple[str, ...]:
     """The token texts of ``text``, then ``""`` for the end of input, so the
     parser can look one token past any token but the last.
 
@@ -271,8 +275,7 @@ def _tokenize(text: str) -> list[str]:
         for m in _SCANNER.finditer(text):
             if m.lastindex == 2:
                 raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
-    tokens.append("")
-    return tokens
+    return (*tokens, "")
 
 
 #: Deepest operand nesting ``parse`` accepts.  Every ``!``, ``K{..}``,
@@ -294,14 +297,27 @@ class _Parser:
     read past.  A method's ``depth`` argument counts the operand levels
     open around the text it reads; an opener at ``MAX_NESTING`` raises.
     Offsets are only computed for an error, by scanning the text again.
+
+    ``memo`` maps a token sequence that reads as one whole formula to its
+    node.  :meth:`formula` reads exactly such a sequence whenever it
+    succeeds: a whole text, the inside of a parenthesized group, or the
+    right operand of ``->``, which runs to the ``)`` or end of input that
+    ends the formula around it.  Each of those ends where its parentheses
+    balance, and that ``)`` or end of input lets no formula read on, so the
+    sequence parses alike wherever it stands.  A sequence found in the memo
+    is skipped and its node reused, but only when it has too few tokens to
+    open a level at ``MAX_NESTING`` from here (every level opens on its own
+    token), so a reuse never hides a nesting error.
     """
 
-    __slots__ = ("text", "tokens", "pos")
+    __slots__ = ("text", "tokens", "pos", "memo", "closer")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: dict):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.memo = memo
+        self.closer: dict[int, int] | None = None  # built on the first group
 
     def error(self, message: str, index: int, expected: tuple[str, ...] = ()):
         """The FormulaSyntaxError at the token with index ``index``.
@@ -316,15 +332,27 @@ class _Parser:
     def too_deep(self, index: int):
         return self.error(f"formula nests deeper than {MAX_NESTING} levels", index)
 
-    def formula(self, depth: int) -> Formula:
-        left = self.unary(depth)
+    def formula(self, depth: int, end: int | None) -> Formula:
+        """The formula of ``tokens[pos:end]``; ``end`` is the index of the
+        ``)`` or end of input that closes it, or None if no ``)`` does."""
+        start = self.pos
+        if end is not None:
+            key = self.tokens[start:end]
+            found = self.memo.get(key)
+            if found is not None and depth + end - start <= MAX_NESTING:
+                self.pos = end
+                return found
+        f = self.unary(depth)
         pos = self.pos
-        if self.tokens[pos] != "->":
-            return left
-        if depth == MAX_NESTING:
-            raise self.too_deep(pos)
-        self.pos = pos + 1
-        return Implies(left, self.formula(depth + 1))
+        if self.tokens[pos] == "->":
+            if depth == MAX_NESTING:
+                raise self.too_deep(pos)
+            self.pos = pos + 1
+            f = Implies(f, self.formula(depth + 1, end))
+        if self.pos == end:
+            # a node already kept for the sequence stays the shared one
+            f = self.memo.setdefault(key, f)
+        return f
 
     def unary(self, depth: int) -> Formula:
         pos = self.pos
@@ -346,7 +374,9 @@ class _Parser:
         if token == "(":
             if depth == MAX_NESTING:
                 raise self.too_deep(pos)
-            inner = self.formula(depth + 1)
+            if self.closer is None:
+                self.closer = _closers(tokens)
+            inner = self.formula(depth + 1, self.closer.get(pos))
             pos = self.pos
             if tokens[pos] != ")":
                 raise self.error("syntax error", pos, (_RPAREN,))
@@ -383,11 +413,32 @@ class _Parser:
             token = tokens[pos]
 
 
-def parse(text: str) -> Formula:
-    """Parse ``text`` into a formula; raise FormulaSyntaxError on bad input."""
-    parser = _Parser(text)
-    f = parser.formula(0)
-    if parser.tokens[parser.pos] != "":
+def _closers(tokens: tuple[str, ...]) -> dict[int, int]:
+    """The index of each ``(`` that some ``)`` closes -> the index of that ``)``."""
+    closer = {}
+    opened = []
+    for index in compress(count(), map(_PARENS.__contains__, tokens)):
+        if tokens[index] == "(":
+            opened.append(index)
+        elif opened:
+            closer[opened.pop()] = index
+    return closer
+
+
+def parse(text: str, memo: dict | None = None) -> Formula:
+    """Parse ``text`` into a formula; raise FormulaSyntaxError on bad input.
+
+    ``memo`` (fresh when omitted) maps token sequences already parsed to
+    their nodes; pass one dict to parse several texts, and every equal
+    subformula that one of them spells out as a whole text, a parenthesized
+    group or the right operand of ``->`` comes back as the same object.  The
+    trees and errors are those of a fresh memo, and nothing is kept between
+    calls but what the caller's ``memo`` holds.
+    """
+    parser = _Parser(text, {} if memo is None else memo)
+    tokens = parser.tokens
+    f = parser.formula(0, len(tokens) - 1)
+    if tokens[parser.pos] != "":
         raise parser.error("syntax error", parser.pos, (_ARROW, _EOF))
     return f
 

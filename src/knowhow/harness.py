@@ -100,7 +100,8 @@ def gen_system(params: GenParams) -> EpistemicTransitionSystem:
 
     extra = params.branching - 1.0
     mechanism = []
-    profiles = [Profile(tuple(zip(agents, combo)))
+    # ``Profile.of`` sorts the votes: ``a10`` comes before ``a2``
+    profiles = [Profile.of(dict(zip(agents, combo)))
                 for combo in itertools.product(choices, repeat=len(agents))]
     for w in states:
         for profile in profiles:

@@ -379,16 +379,26 @@ def _justification(m: re.Match, labels: dict[str, int], line_no: int) -> Justifi
     return Hypothesis(labels[label], label)
 
 
-def _parse_formula(text: str, what: str, line_no: int) -> Formula:
-    """``parse(text)``, with a syntax error reported as bad ``what`` at ``line_no``."""
+def _parse_formula(text: str, what: str, line_no: int, memo: dict) -> Formula:
+    """``parse(text, memo)``, with a syntax error reported as bad ``what`` at
+    ``line_no``."""
     try:
-        return parse(text)
+        return parse(text, memo)
     except FormulaSyntaxError as e:
         raise ProofFormatError(f"bad {what}: {e}", line_no) from e
 
 
 def parse_derivation(text: str) -> Derivation:
-    """Parse the proof file format (hypotheses / lines / goal sections)."""
+    """Parse the proof file format (hypotheses / lines / goal sections).
+
+    The formulas of one file share one parser memo, so a subformula that
+    recurs as a whole formula, a parenthesized group or the right operand of
+    ``->`` is parsed once and comes back as one object: a modus ponens line
+    is the very ``right`` of its implication line, and ``verify`` compares
+    them by identity.  The memo is dropped when the call returns; nothing
+    is cached across calls.
+    """
+    memo: dict = {}  # token sequence -> its formula, for this file only
     hypotheses: list[tuple[str, Formula]] = []
     labels: dict[str, int] = {}
     lines: list[Line] = []
@@ -408,7 +418,7 @@ def parse_derivation(text: str) -> Derivation:
         if stripped.startswith("goal:"):
             if goal is not None:
                 raise ProofFormatError("duplicate goal", line_no)
-            goal = _parse_formula(stripped[len("goal:"):], "goal formula", line_no)
+            goal = _parse_formula(stripped[len("goal:"):], "goal formula", line_no, memo)
             section = None
             continue
         if section == "hypotheses":
@@ -418,7 +428,7 @@ def parse_derivation(text: str) -> Derivation:
                 raise ProofFormatError("expected 'label: formula'", line_no)
             if label in labels:
                 raise ProofFormatError(f"duplicate hypothesis label {label!r}", line_no)
-            f = _parse_formula(body, "hypothesis formula", line_no)
+            f = _parse_formula(body, "hypothesis formula", line_no, memo)
             labels[label] = len(hypotheses)
             hypotheses.append((label, f))
         elif section == "lines":
@@ -432,7 +442,7 @@ def parse_derivation(text: str) -> Derivation:
             m = _JUST_RE.search(body)
             if not m:
                 raise ProofFormatError("missing or malformed justification", line_no)
-            f = _parse_formula(body[:m.start()], "formula", line_no)
+            f = _parse_formula(body[:m.start()], "formula", line_no, memo)
             lines.append(Line(f, _justification(m, labels, line_no)))
         else:
             raise ProofFormatError(f"unexpected content {stripped!r}", line_no)

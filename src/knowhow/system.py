@@ -256,7 +256,8 @@ class EpistemicTransitionSystem:
                     table[w] = idx
             self._block[agent] = table
 
-        # a complete profile passes the agent and choice checks below
+        # only a complete profile skips the checks below, and every other
+        # profile fails one of them
         complete = set(self._complete_profiles)
         triples = set()
         for w1, profile, w2 in mechanism:
@@ -271,6 +272,9 @@ class EpistemicTransitionSystem:
                     if choice not in self.choices:
                         raise ModelFormatError(
                             f"transition uses undeclared choice {choice!r}")
+                raise ModelFormatError(
+                    f"transition profile {profile} does not list its votes "
+                    f"once per agent in agent order")
             triples.add((w1, profile, w2))
         self.mechanism: frozenset[tuple[str, Profile, str]] = frozenset(triples)
 

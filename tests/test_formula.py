@@ -174,9 +174,9 @@ def test_uses_empty_coalition():
 PARITY = Path(__file__).parent / "data" / "parse_parity.json"
 
 
-def _outcome(text):
+def _outcome(text, memo=None):
     try:
-        return "ok: " + str(parse(text))
+        return "ok: " + str(parse(text, memo))
     except FormulaSyntaxError as e:
         return "error: " + str(e)
 
@@ -187,6 +187,69 @@ def test_parse_outcomes_match_the_recorded_parser():
     cases = json.loads(PARITY.read_text(encoding="utf-8"))["cases"]
     assert len(cases) > 300
     assert [(text, _outcome(text)) for text, _ in cases] == [tuple(c) for c in cases]
+
+
+@pytest.mark.parametrize("order", ["recorded", "reversed"])
+def test_one_memo_shared_by_every_recorded_string_keeps_their_outcomes(order):
+    # every string may reuse what those before it left in the memo
+    cases = [tuple(c) for c in json.loads(PARITY.read_text(encoding="utf-8"))["cases"]]
+    if order == "reversed":
+        cases.reverse()
+    memo = {}
+    assert [(text, _outcome(text, memo)) for text, _ in cases] == cases
+    assert memo
+
+
+def test_a_shared_memo_returns_one_object_per_subformula():
+    memo = {}
+    pq = parse("p -> q", memo)
+    assert parse("(p -> q) -> r", memo).left is pq
+    assert parse("r -> p -> q", memo).right is pq
+    assert parse("K{a} ( p->q )", memo).sub is pq  # tokens, not spelling
+    whole = parse("H{b} (p -> q) -> r -> p -> q", memo)
+    assert whole.left.sub is pq and whole.right.right is pq
+    assert parse("r -> p -> q", memo) is parse("r->p->q", memo)
+
+
+@pytest.mark.parametrize("depth", range(MAX_NESTING - 6, MAX_NESTING + 1))
+def test_a_reused_group_past_the_nesting_limit_fails_as_a_fresh_parse(depth):
+    # "p -> q" is first parsed at the top, then again inside ``depth``
+    # negations, where its arrow may open a level past the limit
+    text = "!" * depth + "(p -> q)"
+    memo = {}
+    pq = parse("p -> q", memo)
+    assert _outcome(text, memo) == _outcome(text)
+    if depth < MAX_NESTING - 1:
+        assert parse(text, memo) == parse(text)
+    else:
+        with pytest.raises(FormulaSyntaxError) as shared:
+            parse(text, memo)
+        with pytest.raises(FormulaSyntaxError) as fresh:
+            parse(text)
+        assert (shared.value.offset, str(shared.value)) == (
+            fresh.value.offset, str(fresh.value))
+        assert f"deeper than {MAX_NESTING}" in str(fresh.value)
+    if depth + 1 + 3 <= MAX_NESTING:  # the group's three tokens fit: reused
+        inner = parse(text, memo)
+        for _ in range(depth):
+            inner = inner.sub
+        assert inner is pq
+
+
+def test_redundant_parentheses_round_trip():
+    f = parse("((((p))))")
+    assert f == Atom("p")
+    assert format_formula(f) == "p"
+    for first, second in (("p", "((((p))))"), ("((((p))))", "p")):
+        memo = {}
+        assert parse(first, memo) is parse(second, memo)
+
+
+def test_no_memo_outlives_a_parse():
+    text = "K{a} (p -> q) -> H{} (p -> q)"
+    first, second = parse(text), parse(text)
+    assert first == second and first is not second
+    assert first.left.sub is not second.left.sub
 
 
 WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
@@ -233,6 +296,12 @@ def test_print_parse_round_trip(f):
     # a node hashes its operands' stored hashes, so a tree built in code
     # (``Not(Falsum())``) and its parse (``true``) hash alike
     assert hash(g) == hash(f)
+
+
+@given(st.lists(formulas(), max_size=6))
+def test_a_shared_memo_parses_printed_formulas_back(fs):
+    memo = {}
+    assert [parse(format_formula(f), memo) for f in fs] == fs
 
 
 @given(formulas())

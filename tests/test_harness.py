@@ -61,6 +61,16 @@ def test_gen_system_batch_is_always_regular():
         assert check_regular(gen_system(replace(base, seed=seed))) == []
 
 
+def test_gen_system_is_regular_with_agents_that_sort_out_of_declared_order():
+    # "a10" sorts before "a2", so the generated profiles must sort their votes
+    p = GenParams(seed=0, num_agents=11, num_states=1, history_depth=1)
+    ets = gen_system(p)
+    assert check_regular(ets) == []
+    report = soundness_suite(p, num_systems=1, num_instances=1)
+    assert report.checked == 9
+    assert report.violations == [] and report.guard_rejections == []
+
+
 def test_gen_formula_depth_and_determinism():
     p = GenParams(seed=3, formula_depth=0, horizon=3)
     f = gen_formula(p, ("p",), ("a",))

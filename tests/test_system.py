@@ -439,7 +439,11 @@ def test_transition_diagnostics_keep_their_text():
     agents, states, choices = ["a", "b"], ["w0"], ["0", "1"]
     for profile, message in (
             (Profile.of({"a": "0"}), "transition profile a=0 is not over the declared agents"),
-            (Profile.of({"a": "0", "b": "2"}), "transition uses undeclared choice '2'")):
+            (Profile.of({"a": "0", "b": "2"}), "transition uses undeclared choice '2'"),
+            # declared agents and choices, but votes out of agent order
+            (Profile((("b", "0"), ("a", "0"))),
+             "transition profile b=0,a=0 does not list its votes once per agent "
+             "in agent order")):
         with pytest.raises(ModelFormatError) as err:
             EpistemicTransitionSystem(agents, states, choices, {},
                                       [("w0", profile, "w0")], {})
