@@ -86,9 +86,7 @@ def _cmd_fuzz(args) -> int:
 
     params = harness.GenParams(
         seed=args.seed, num_states=args.states, num_agents=args.agents,
-        num_choices=args.choices, formula_depth=args.formula_depth,
-        history_depth=args.depth,
-        horizon=max(args.horizon, args.depth + args.formula_depth))
+        num_choices=args.choices, history_depth=args.depth)
     sound = harness.soundness_suite(params, num_systems=args.systems,
                                     num_instances=args.instances)
     lemmas = harness.lemma_suite(params, num_systems=max(1, args.systems // 2))
@@ -143,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", type=int, default=4)
     p.add_argument("--agents", type=int, default=2)
     p.add_argument("--choices", type=int, default=2)
-    p.add_argument("--formula-depth", type=int, default=2)
-    p.add_argument("--horizon", type=int, default=6)
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
 

@@ -538,13 +538,9 @@ def _superdistributivity(premise_coalitions, premise_formulas, conclusion,
         for i, (c, f) in enumerate(zip(premise_coalitions, premise_formulas)))
 
     aggregate: Coalition = frozenset() if strategic else premise_coalitions[0]
-    start = frozenset() if strategic else premise_coalitions[0]
+    necessitation = StrategicNecessitation if strategic else Necessitation
     rest = chain
-    if strategic:
-        current = emit(box(start, rest),
-                       StrategicNecessitation(core_goal_line, start))
-    else:
-        current = emit(box(start, rest), Necessitation(core_goal_line, start))
+    current = emit(box(aggregate, rest), necessitation(core_goal_line, aggregate))
     for i in range(n):
         coalition_i = premise_coalitions[i]
         assert isinstance(rest, Implies)

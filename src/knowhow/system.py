@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 
 from .formula import Coalition, IDENT_RE, InputError, _cached_hash, _Frozen
 
@@ -288,13 +288,11 @@ class EpistemicTransitionSystem:
                     f"{sorted(unknown)[0]!r}")
             self.valuation[prop] = where
 
-        self._succ: dict[str, tuple[tuple[Profile, str], ...]] = {
-            w: () for w in self.states}
         by_state: dict[str, list[tuple[Profile, str]]] = {w: [] for w in self.states}
         for w1, profile, w2 in triples:
             by_state[w1].append((profile, w2))
-        for w, out in by_state.items():
-            self._succ[w] = tuple(sorted(out))
+        self._succ: dict[str, tuple[tuple[Profile, str], ...]] = {
+            w: tuple(sorted(out)) for w, out in by_state.items()}
         self._levels: list[tuple[History, ...]] = []
         # the checker's view of each coalition's moves, built on first use
         self._views: dict[Coalition, object] = {}
@@ -450,21 +448,7 @@ def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
                 raise InvalidHistoryError(f"undeclared state {part!r}")
             states.append(part)
         else:
-            votes = {}
-            for item in part.split(","):
-                item = item.strip()
-                if "=" not in item:
-                    raise InvalidHistoryError(
-                        f"bad profile entry {item!r}, expected agent=choice")
-                agent, _, choice = item.partition("=")
-                agent, choice = agent.strip(), choice.strip()
-                if agent not in ets.agents:
-                    raise InvalidHistoryError(f"undeclared agent {agent!r}")
-                if choice not in ets.choices:
-                    raise InvalidHistoryError(f"undeclared choice {choice!r}")
-                if agent in votes:
-                    raise InvalidHistoryError(f"agent {agent!r} voted twice")
-                votes[agent] = choice
+            votes = _read_votes(part, ets.agents, ets.choices, InvalidHistoryError)
             missing = ets.agents - votes.keys()
             if missing:
                 raise InvalidHistoryError(
@@ -478,26 +462,24 @@ def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
     return history
 
 
-def _pattern_constraints(pattern: str, agent_set: set[str], choice_set: set[str],
-                         line_no: int) -> dict[str, str]:
-    """The ``agent=choice`` entries of a ``trans`` pattern, validated."""
-    constraints: dict[str, str] = {}
-    if pattern:
-        for item in pattern.split(","):
-            item = item.strip()
-            if "=" not in item:
-                raise ModelFormatError(
-                    f"bad pattern entry {item!r}, expected agent=choice", line_no)
-            agent, _, choice = item.partition("=")
-            agent, choice = agent.strip(), choice.strip()
-            if agent not in agent_set:
-                raise ModelFormatError(f"undeclared agent {agent!r}", line_no)
-            if choice not in choice_set:
-                raise ModelFormatError(f"undeclared choice {choice!r}", line_no)
-            if agent in constraints:
-                raise ModelFormatError(f"agent {agent!r} constrained twice", line_no)
-            constraints[agent] = choice
-    return constraints
+def _read_votes(text: str, agents: Container[str], choices: Container[str],
+                error: type[InputError], line_no: int | None = None) -> dict[str, str]:
+    """The ``agent=choice,...`` votes of a profile or pattern, each agent
+    and choice declared and each agent at most once; ``error`` otherwise."""
+    votes: dict[str, str] = {}
+    for item in text.split(","):
+        agent, eq, choice = item.partition("=")
+        agent, choice = agent.strip(), choice.strip()
+        if not eq:
+            raise error(f"bad vote {item.strip()!r}, expected agent=choice", line_no)
+        if agent not in agents:
+            raise error(f"undeclared agent {agent!r}", line_no)
+        if choice not in choices:
+            raise error(f"undeclared choice {choice!r}", line_no)
+        if agent in votes:
+            raise error(f"agent {agent!r} listed twice", line_no)
+        votes[agent] = choice
+    return votes
 
 
 def _expand_pattern(sys_agents: list[str], choices: list[str],
@@ -602,9 +584,9 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
                     raise ModelFormatError(f"undeclared state {w!r}", line_no)
             profiles = expansions.get(pattern)
             if profiles is None:
-                profiles = expansions[pattern] = _expand_pattern(
-                    agents, choices,
-                    _pattern_constraints(pattern, agent_set, choice_set, line_no))
+                constraints = _read_votes(pattern, agent_set, choice_set,
+                                          ModelFormatError, line_no) if pattern else {}
+                profiles = expansions[pattern] = _expand_pattern(agents, choices, constraints)
             mechanism += [(w1, profile, w2) for profile in profiles]
         else:
             raise ModelFormatError(f"unrecognized line {line!r}", line_no)

@@ -113,7 +113,7 @@ def test_criterion_3_proof_corpus():
 
 def test_criterion_4_soundness_fuzz():
     params = GenParams(seed=20260810, num_states=4, num_agents=2,
-                       num_choices=2, history_depth=3, horizon=6)
+                       num_choices=2, history_depth=3)
     start = time.perf_counter()
     rep = soundness_suite(params, num_systems=50, num_instances=5)
     elapsed = time.perf_counter() - start
@@ -126,7 +126,7 @@ def test_criterion_4_soundness_fuzz():
 
 
 def test_criterion_5_lemma_suite(t1, t2):
-    params = GenParams(seed=99, history_depth=3, horizon=6)
+    params = GenParams(seed=99, history_depth=3)
     rep = lemma_suite(params, num_systems=20, extra_systems=(t1, t2))
     ok = rep.systems == 22 and not rep.failures
     report("criterion 5 (lemma suite)", ok,
@@ -150,8 +150,7 @@ def test_criterion_6_oracle_equivalence():
     disagreements = 0
     checked = 0
     base = GenParams(seed=0, num_states=3, num_agents=2, num_choices=2,
-                     branching=1.1, formula_depth=3, history_depth=2,
-                     horizon=5)
+                     branching=1.1, formula_depth=3, history_depth=2)
     for system_index in range(100):
         params = replace(base, seed=system_index)
         ets = gen_system(params)
@@ -189,8 +188,7 @@ def _replay_know_how_clause(ets, h, coalition, strategy, body) -> bool:
 def test_criterion_7_witness_soundness():
     rng = random.Random(777)
     base = GenParams(seed=0, num_states=3, num_agents=2, num_choices=2,
-                     branching=1.2, formula_depth=1, history_depth=2,
-                     horizon=4)
+                     branching=1.2, formula_depth=1, history_depth=2)
     true_verdicts = false_verdicts = 0
     for system_index in range(30):
         params = replace(base, seed=1000 + system_index)
@@ -227,8 +225,7 @@ def test_criterion_8_parser_round_trip():
     failures = 0
     total = 0
     for depth in range(5):
-        params = GenParams(seed=depth, formula_depth=depth,
-                           horizon=depth + 3)
+        params = GenParams(seed=depth, formula_depth=depth)
         for salt in range(2000):
             f = gen_formula(params, ("p", "q", "r", "w0'"),
                             ("a", "b", "c'", "d_1"),

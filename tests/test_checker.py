@@ -257,8 +257,7 @@ def test_evaluations_sharing_a_system_agree_with_fresh_systems():
 def test_memoized_and_naive_agree_on_random_triples():
     # whole verdicts, witness included, over 3-agent systems
     params = GenParams(seed=5, num_states=3, num_agents=3, num_choices=2,
-                       branching=1.1, formula_depth=3, history_depth=2,
-                       horizon=5)
+                       branching=1.1, formula_depth=3, history_depth=2)
     rng = random.Random(99)
     lengths, witnesses = set(), 0
     for i in range(80):

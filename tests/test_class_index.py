@@ -164,7 +164,7 @@ def test_lemma_relation_checks_never_build_class_tables(monkeypatch):
     rng = random.Random(0)
     for coalition in _coalitions(ets.agents, include_empty=False):
         for n in range(params.history_depth + 1):
-            _check_history_relation(ets, coalition, n, rng, report, "cold")
+            _check_history_relation(ets, coalition, n, rng, report, "cold", {})
     assert report.relation_checks > 0
     assert report.failures == []
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from knowhow import checker, cli, system
+from knowhow import checker, cli, harness, system
 from knowhow import formula as formula_module
 from knowhow.cli import main
 from knowhow.fixtures import (
@@ -333,6 +333,71 @@ def test_misread_proof_lines_are_usage_errors(tmp_path, capsys, line, message):
     assert (out, err) == ("", f"error: {message}\n")
 
 
+_MODEL = ("agents: a b\nchoices: 0 1\nstates: w0 w1\n"
+          "trans w0 [] w1\ntrans w1 [] w0\nvaluation p: w0\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("agents: a$\n", "line 1: bad token 'a$'"),
+    ("states: 0w\n", "line 1: state name '0w' must start with a letter or underscore"),
+    ("agents: a a\n", "line 1: duplicate name in 'agents' declaration"),
+    ("choices:\n", "line 1: 'choices' declaration is empty"),
+    (_MODEL + "indist a w0 w1\n", "line 7: expected ':' in indist line"),
+    (_MODEL + "indist a: w0 w1 |\n", "line 7: empty indist block"),
+    (_MODEL + "indist a: w0 w9\n", "line 7: undeclared state 'w9'"),
+    (_MODEL + "valuation q w0\n", "line 7: expected ':' in valuation line"),
+    (_MODEL + "valuation 1q: w0\n", "line 7: bad proposition token '1q'"),
+    (_MODEL + "trans w0 w1\n", "line 7: expected 'trans STATE [pattern] STATE'"),
+    (_MODEL + "trans w0 [a] w1\n", "line 7: bad vote 'a', expected agent=choice"),
+    (_MODEL + "trans w0 [a=0, a=1] w1\n", "line 7: agent 'a' listed twice"),
+    (_MODEL + "frobnicate\n", "line 7: unrecognized line 'frobnicate'")])
+def test_model_file_errors_are_usage_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ets"
+    path.write_text(text)
+    assert main(["check", "--system", str(path), "--history", "w0",
+                 "--formula", "p"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("history,message", [
+    ("w0 ; a=0,b=0", "history literal must alternate states and profiles, "
+                     "ending in a state"),
+    ("w$", "bad state token 'w$'"),
+    ("w9", "undeclared state 'w9'"),
+    ("w0 ; a0 ; w1", "bad vote 'a0', expected agent=choice"),
+    ("w0 ; c=0,a=0 ; w1", "undeclared agent 'c'"),
+    ("w0 ; a=2,b=0 ; w1", "undeclared choice '2'"),
+    ("w0 ; a=0,a=1 ; w1", "agent 'a' listed twice"),
+    ("w0 ; a=0 ; w1", "profile misses agent 'b'; history literals need complete "
+                      "profiles"),
+    ("w0 ; a=0,b=0 ; w0", "(w0 ; a=0,b=0 ; w0) is not a mechanism transition")])
+def test_history_literal_errors_are_usage_errors(tmp_path, capsys, history, message):
+    path = tmp_path / "model.ets"
+    path.write_text(_MODEL)
+    assert main(["check", "--system", str(path), "--history", history,
+                 "--formula", "p"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_NEC = "lines:\n  1: p -> p    taut\n  2: K{a} (p -> p)    nec{%s} 1\ngoal: p -> p\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (_NEC % "a$", "line 3: bad agent token 'a$'"),
+    (_NEC % "a, a", "line 3: duplicate agent in coalition"),
+    (_NEC % "a" + "goal: p -> p\n", "line 5: duplicate goal"),
+    ("hypotheses:\n  h p\n" + _NEC % "a", "line 2: expected 'label: formula'"),
+    ("hypotheses:\n  h: p\n  h: q\n" + _NEC % "a",
+     "line 3: duplicate hypothesis label 'h'"),
+    ("p -> p\n" + _NEC % "a", "line 1: unexpected content 'p -> p'"),
+    ("goal: p -> p\n", "missing lines section")])
+def test_proof_file_errors_are_usage_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.proof"
+    path.write_text(text)
+    assert main(["prove", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_validate_regular_and_broken(t1_path, tmp_path, capsys):
     assert main(["validate", "--system", t1_path]) == 0
     assert "regular" in capsys.readouterr().out
@@ -345,7 +410,7 @@ def test_validate_regular_and_broken(t1_path, tmp_path, capsys):
 
 def test_fuzz_small_run(capsys):
     code = main(["fuzz", "--seed", "3", "--systems", "2", "--instances", "2",
-                 "--states", "3", "--depth", "2", "--horizon", "4"])
+                 "--states", "3", "--depth", "2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "violations=0" in out
@@ -354,7 +419,7 @@ def test_fuzz_small_run(capsys):
 
 def test_fuzz_json_report(capsys):
     code = main(["fuzz", "--seed", "3", "--systems", "1", "--instances", "1",
-                 "--states", "2", "--depth", "2", "--horizon", "4", "--json"])
+                 "--states", "2", "--depth", "2", "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["soundness"]["violations"] == []
@@ -363,13 +428,40 @@ def test_fuzz_json_report(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--states", "0"), ("--agents", "0"), ("--choices", "0"), ("--depth", "-1"),
-    ("--formula-depth", "-1"), ("--agents", "30"), ("--systems", "-1"),
+    ("--agents", "30"), ("--systems", "-1"),
     ("--instances", "-3")])
 def test_fuzz_bad_parameters_are_usage_errors(capsys, flag, value):
     code = main(["fuzz", "--systems", "1", "--instances", "1", flag, value])
     out, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("flag", ["--horizon", "--formula-depth"])
+def test_fuzz_takes_no_horizon_option(capsys, flag):
+    # the soundness suite derives each horizon from the instance it checks
+    with pytest.raises(SystemExit) as err:
+        main(["fuzz", flag, "3"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--agents", "7"), ("--agents", "8"), ("--states", "200")])
+def test_fuzz_past_the_equivalence_cap_is_refused_before_any_check(
+        capsys, monkeypatch, flag, value):
+    def unchecked(items, related):
+        raise AssertionError("checked an equivalence")
+
+    monkeypatch.setattr(harness, "check_equivalence", unchecked)
+    start = time.perf_counter()
+    code = main(["fuzz", "--states", "1", "--depth", "0", "--systems", "1",
+                 "--instances", "1", flag, value])
+    assert time.perf_counter() - start < 5.0
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "pairs for the lemma suite" in err
     assert "Traceback" not in out + err
 
 

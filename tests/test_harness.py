@@ -29,7 +29,6 @@ from knowhow.system import (
 def test_genparams_invariants():
     for bad in ({"num_states": 0}, {"num_agents": 0}, {"num_choices": 0},
                 {"history_depth": -1}, {"formula_depth": -1},
-                {"history_depth": 4, "formula_depth": 4, "horizon": 5},
                 {"branching": 0.5}, {"num_agents": 13},
                 {"num_agents": 1, "num_choices": MAX_PROFILES + 1}):
         with pytest.raises(GenParamsError):
@@ -72,10 +71,10 @@ def test_gen_system_is_regular_with_agents_that_sort_out_of_declared_order():
 
 
 def test_gen_formula_depth_and_determinism():
-    p = GenParams(seed=3, formula_depth=0, horizon=3)
+    p = GenParams(seed=3, formula_depth=0)
     f = gen_formula(p, ("p",), ("a",))
     assert isinstance(f, (Atom, Falsum))
-    p = GenParams(seed=3, formula_depth=3, horizon=6)
+    p = GenParams(seed=3, formula_depth=3)
     f1 = gen_formula(p, ("p", "q"), ("a", "b"), salt=7)
     f2 = gen_formula(p, ("p", "q"), ("a", "b"), salt=7)
     assert f1 == f2
@@ -86,7 +85,7 @@ def test_gen_formula_depth_and_determinism():
 
 
 def test_gen_formula_can_include_empty_coalitions():
-    p = GenParams(seed=11, formula_depth=3, horizon=6)
+    p = GenParams(seed=11, formula_depth=3)
     hits = sum(
         uses_empty_coalition(
             gen_formula(p, ("p",), ("a",), allow_empty_coalition=True, salt=s))
@@ -106,8 +105,25 @@ def test_instantiate_axiom_always_matches_its_schema():
 def test_corrupted_instance_is_rejected_before_evaluation(t1):
     h = histories_of_length(t1, 0)[0]
     bogus = parse("K{a} p -> q")
-    result = check_instance(t1, AxiomName.TRUTH, bogus, h, horizon=3)
+    result = check_instance(t1, AxiomName.TRUTH, bogus, h)
     assert result.status == "guard_rejected"
+
+
+@pytest.mark.parametrize("slack", [0, 1])
+def test_an_empty_coalition_instance_is_checked_at_its_floor_plus_slack(
+        t1, monkeypatch, slack):
+    horizons = []
+
+    def recording(ets, h, f, horizon):
+        horizons.append(horizon)
+        return Verdict(True)
+
+    monkeypatch.setattr(harness, "_evaluate_confirmed", recording)
+    h = histories_of_length(t1, 1)[0]
+    check_instance(t1, AxiomName.EMPTY_COALITION, parse("K{} p -> H{} p"), h, slack)
+    check_instance(t1, AxiomName.TRUTH, parse("K{a} p -> p"), h, slack)
+    # floor: anchor length 1 plus one level of know-how nesting
+    assert horizons == [2 + slack, None]
 
 
 def test_soundness_suite_is_clean_and_deterministic():
@@ -131,14 +147,14 @@ def test_soundness_suite_covers_fixture_systems(t1):
             for h in pool:
                 if uses_empty_coalition(inst) and h.length > 1:
                     continue
-                result = check_instance(t1, schema, inst, h, horizon=6)
+                result = check_instance(t1, schema, inst, h)
                 assert result.status == "ok", (schema, inst, h)
                 checked += 1
     assert checked > 200
 
 
 def test_lemma_suite_clean_on_fixture_and_random_systems(t1):
-    p = GenParams(seed=13, history_depth=2, horizon=4)
+    p = GenParams(seed=13, history_depth=2)
     report = lemma_suite(p, num_systems=2, extra_systems=(t1,))
     assert report.failures == []
     assert report.systems == 3
@@ -215,7 +231,7 @@ def test_history_signatures_read_no_block_through_the_validating_lookup(monkeypa
     rng = random.Random(0)
     for coalition in _coalitions(ets.agents, include_empty=False):
         for n in range(params.history_depth + 1):
-            _check_history_relation(ets, coalition, n, rng, report, "signature")
+            _check_history_relation(ets, coalition, n, rng, report, "signature", {})
     assert report.relation_checks > 0
     assert report.failures == []
 
@@ -438,7 +454,7 @@ def test_a_system_with_too_many_histories_is_refused_before_any_is_listed(
         raise AssertionError("listed a level")
 
     monkeypatch.setattr(harness, "histories_of_length", unlisted)
-    params = GenParams(seed=0, history_depth=10, horizon=12)
+    params = GenParams(seed=0, history_depth=10)
     for suite in (soundness_suite, lemma_suite):
         with pytest.raises(GenParamsError,
                            match=f"more than {harness.MAX_HISTORIES} histories "
@@ -461,6 +477,32 @@ def test_the_lemma_suite_refuses_past_its_history_and_coalition_pairs(monkeypatc
     monkeypatch.setattr(harness, "MAX_LEMMA_PAIRS", 31989 * 15)
     with pytest.raises(AssertionError, match="listed a level"):
         lemma_suite(params, num_systems=1)
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(), GenParams(seed=1, num_agents=3, num_states=6),
+    GenParams(seed=2, num_agents=1, num_choices=3, num_states=9),
+    GenParams(seed=3, num_agents=4, num_states=1)])
+def test_the_equivalence_count_is_that_of_the_calls(monkeypatch, params):
+    ets = gen_system(params)
+    calls = 0
+
+    def counting(relation, c):
+        def related(x, y):
+            nonlocal calls
+            calls += 1
+            return relation(x, y, c)
+        return related
+
+    for c in _coalitions(ets.agents, include_empty=True):
+        check_equivalence(sorted(ets.states),
+                          counting(lambda w1, w2, c: state_indist(ets, w1, w2, c), c))
+        check_equivalence(ets.complete_profiles, counting(profile_agrees, c))
+    monkeypatch.setattr(harness, "MAX_EQUIVALENCE_PAIRS", calls)
+    harness._check_equivalence_pairs(ets)
+    monkeypatch.setattr(harness, "MAX_EQUIVALENCE_PAIRS", calls - 1)
+    with pytest.raises(GenParamsError, match="pairs for the lemma suite"):
+        harness._check_equivalence_pairs(ets)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
