@@ -11,21 +11,23 @@ semantic laws of the modalities.  Both are deterministic in the seed.
 The history-relation check is the lemma suite's main cost.  Its pair set is
 fixed by the seed: per level and coalition, all pairs inside small
 signature buckets, representative pairs and a sample inside big ones, and a
-capped sample across buckets, so O(level size) pairs.  A signature is
-the tuple of the members' parts, and each agent's part of every history
-is built once per level and shared by every coalition that contains the
-agent.  Each pair is one ``hist_indist`` call of O(length x |C|) lookups,
-so the signatures only choose the pairs and never answer one.  Past
-length 0 a related pair is checked again on its decomposition.  A
-history's prefix is its parent in the level below, and the prefix pair,
-the last-profile pair and the head pair are each decided once per
-distinct pair per level and coalition, however many related pairs share
-them.
+capped sample across buckets, so O(level size) pairs.  Every history of
+a level is named by its index, and each agent's part of every history's
+signature is an int that numbers (its parent's int, its head's block, the
+agent's last vote) on the level.  Each part is built once per level and
+shared by every coalition that contains the agent; a signature is the
+tuple of the members' ints.  Each pair is one ``hist_indist`` call of
+O(length x |C|) lookups, so the signatures only choose the pairs and
+never answer one.  Past length 0 a related pair is checked again on its
+decomposition, read from int tables: each history's parent, last profile
+and head, built once per level, and whether two complete profiles agree
+and two states are indistinguishable, built once per coalition.  A
+prefix pair is decided by ``hist_indist`` once per distinct pair per
+level and coalition, however many related pairs share it.
 """
 from __future__ import annotations
 
 import collections
-import functools
 import hashlib
 import itertools
 import random
@@ -120,18 +122,20 @@ def gen_system(params: GenParams) -> EpistemicTransitionSystem:
 
 
 #: Most histories of length <= ``history_depth`` a suite lists per system.  On
-#: a 2-vCPU Xeon VM (Python 3.11), ``fuzz --systems 1 --instances 1`` took 9.2 s
-#: at 44k (depth 4, three agents); CLI defaults stay under 2k, the tests under 4k.
+#: a 2-vCPU Xeon VM (Python 3.11), the soundness suite took 0.07 s on one
+#: system with 44k (depth 4, three agents, one instance per schema), where
+#: ``MAX_LEMMA_PAIRS`` refuses the lemma suite; CLI defaults stay under 2k,
+#: the tests under 6.4k (``fuzz --choices 3``).
 MAX_HISTORIES = 100_000
 
 
 #: Most histories of length <= ``history_depth`` times nonempty coalitions
 #: that the lemma suite checks per system: it checks every level once per
 #: nonempty coalition, so its work grows with both.  On a 2-vCPU Xeon VM
-#: (Python 3.11), ``fuzz --systems 1 --instances 1`` took 2.7 s at 99,932
-#: (three agents, two states, depth 4) and 0.5 s at 34k (three agents,
-#: other parameters at their defaults); four agents at the defaults make
-#: 368k-617k.  CLI defaults stay under 3.1k, the tests under 27k.
+#: (Python 3.11), ``fuzz --systems 1 --instances 1`` took 1.3-1.6 s at
+#: 99,932 (``--seed 3``, three agents, two states, depth 4) and 0.4 s at 31k
+#: (three agents, other parameters at their defaults); four agents at the
+#: defaults make 368k-617k.  CLI defaults stay under 3.1k, the tests under 27k.
 MAX_LEMMA_PAIRS = 100_000
 
 
@@ -455,21 +459,54 @@ def _coalitions(agents: frozenset[str], include_empty: bool):
     return out
 
 
-def _signature_column(ets, agent: str, length: int, columns: dict) -> list:
-    """One agent's part of every history's signature on one level.
+def _level_table(ets, length: int, columns: dict) -> tuple[list, list, list]:
+    """Each history's parent, last profile and head on one level, as ints.
+
+    The parent indexes the level below, the last profile
+    ``ets.complete_profiles`` and the head the sorted states; length 0 has
+    no parents and no profiles.  A level lists each parent's extensions in
+    successor order, so the parents are read off the successor counts.
+    ``columns`` keeps the table under the length for every coalition.
+    """
+    table = columns.get(length)
+    if table is None:
+        hs = histories_of_length(ets, length)
+        state_index = {w: i for i, w in enumerate(sorted(ets.states))}
+        parent, last = [], []
+        if length:
+            profile_index = {s: i for i, s in enumerate(ets.complete_profiles)}
+            parent = [p for p, g in enumerate(histories_of_length(ets, length - 1))
+                      for _ in ets.successors(g.head)]
+            last = [profile_index[h.profiles[-1]] for h in hs]
+        table = columns[length] = (parent, last, [state_index[h.states[-1]] for h in hs])
+    return table
+
+
+def _signature_column(ets, agent: str, length: int, columns: dict) -> list[int]:
+    """One agent's part of every history's signature on one level, as ints.
 
     An independent unfolding of per-agent indistinguishability: the block
     ids of the visited states, read from the declared partition
-    ``ets.indist``, plus the agent's own votes.  ``columns`` keeps each
-    (agent, level) column for every coalition that contains the agent.
+    ``ets.indist``, plus the agent's own votes.  A history's int numbers the
+    triple (its parent's int, its head's block, the agent's last vote) on
+    its level, in the order the triples first appear, and a history of
+    length 0 numbers its state's block.  So by induction two histories of a
+    level get equal ints iff their block and vote sequences are equal.
+    ``columns`` keeps each (agent, level) column for every coalition that
+    contains the agent.
     """
     column = columns.get((agent, length))
     if column is None:
-        table = {w: i for i, block in enumerate(ets.indist[agent]) for w in block}
-        column = columns[agent, length] = [
-            (tuple(map(table.__getitem__, h.states)),
-             tuple(s[agent] for s in h.profiles))
-            for h in histories_of_length(ets, length)]
+        block = {w: i for i, b in enumerate(ets.indist[agent]) for w in b}
+        blocks = [block[w] for w in sorted(ets.states)]  # by state index
+        parent, last, head = _level_table(ets, length, columns)
+        keys = map(blocks.__getitem__, head)
+        if length:
+            below = _signature_column(ets, agent, length - 1, columns)
+            votes = [s[agent] for s in ets.complete_profiles]  # by profile index
+            keys = zip(map(below.__getitem__, parent), keys, map(votes.__getitem__, last))
+        numbers: dict = {}
+        column = columns[agent, length] = [numbers.setdefault(k, len(numbers)) for k in keys]
     return column
 
 
@@ -478,35 +515,52 @@ def _check_history_relation(ets, coalition: Coalition, length: int,
                             label: str, columns: dict) -> None:
     """Check ``hist_indist`` for ``coalition`` on one level against the signatures.
 
-    A history's signature is the tuple of its sorted members' parts, taken
-    from the per-agent ``columns`` of :func:`_signature_column`.  The pairs,
-    and the draws they take from ``rng``, depend only on the level and its
-    signature buckets, so ``relation_checks`` counts the same pairs however
-    cheap each check is.  A bucket of b histories gives b^2 pairs when b <= 12
-    and 2b + 100 otherwise; past length 0 a related pair is checked again on
-    its decomposition.  Across buckets there are at most 200 + (number of
+    A history's signature is the tuple of its sorted members' ints (a bare
+    int for one member), taken from the per-agent ``columns`` of
+    :func:`_signature_column`.  The pairs, and the draws they take from
+    ``rng``, depend only on the level and its signature buckets, so
+    ``relation_checks`` counts the same pairs however cheap each check is.
+    A bucket of b histories gives b^2 pairs when b <= 12 and 2b + 100
+    otherwise; past length 0 a related pair is checked again on its
+    decomposition.  Across buckets there are at most 200 + (number of
     buckets) pairs.
+
+    The decomposition reads int tables: each history's parent, last profile
+    and head from :func:`_level_table`, and whether each two complete
+    profiles agree and each two states are indistinguishable, decided once
+    per coalition and kept in ``columns`` under it.  A prefix pair is
+    decided by ``hist_indist`` when a related pair first needs it, once per
+    distinct pair of parents.
     """
     hs = histories_of_length(ets, length)
     # histories are named by their index in the level
-    buckets: dict[tuple, list[int]] = {}
-    parts = [_signature_column(ets, a, length, columns) for a in sorted(coalition)]
-    for i, signature in enumerate(zip(*parts)):
+    members = sorted(coalition)
+    if len(members) == 1:
+        signatures = _signature_column(ets, members[0], length, columns)
+    else:
+        signatures = zip(*[_signature_column(ets, a, length, columns) for a in members])
+    buckets: dict = {}
+    for i, signature in enumerate(signatures):
         buckets.setdefault(signature, []).append(i)
 
     # decomposition: a related pair of extended histories has a related
-    # prefix pair, last profiles that agree and indistinct heads.  A level
-    # lists each parent's extensions in order, so a history's prefix is its
-    # parent in the level below; each of the three relations is decided
-    # once per distinct argument pair
+    # prefix pair, last profiles that agree and indistinct heads
     if length:
         prev = histories_of_length(ets, length - 1)
-        parent = [p for p, g in enumerate(prev) for _ in ets.successors(g.head)]
-        prefixes = functools.cache(
-            lambda p1, p2: hist_indist(ets, prev[p1], prev[p2], coalition))
-        profiles = functools.cache(lambda s1, s2: profile_agrees(s1, s2, coalition))
-        heads = functools.cache(lambda w1, w2: state_indist(ets, w1, w2, coalition))
+        parent, last, head = _level_table(ets, length, columns)
+        tables = columns.get(coalition)
+        if tables is None:
+            profiles, states = ets.complete_profiles, sorted(ets.states)
+            tables = columns[coalition] = (
+                [[profile_agrees(s1, s2, coalition) for s2 in profiles] for s1 in profiles],
+                [[state_indist(ets, w1, w2, coalition) for w2 in states] for w1 in states])
+        agree, indist = tables
+        prefixes: dict = {}
 
+    # the module's relation, read once per call, so a patched one is checked
+    relation = hist_indist
+    failures = report.failures
+    checks = 0
     # within a signature bucket everything must be mutually related (this
     # also gives reflexivity, symmetry, and transitivity on related pairs);
     # big buckets get representative-vs-all coverage plus a random sample
@@ -517,31 +571,32 @@ def _check_history_relation(ets, coalition: Coalition, length: int,
             rep = group[0]
             pairs = [(rep, i) for i in group] + [(i, rep) for i in group]
             pairs += [(rng.choice(group), rng.choice(group)) for _ in range(100)]
-        related = 0
+        checks += len(pairs)
         for i, j in pairs:
             h1, h2 = hs[i], hs[j]
-            if not hist_indist(ets, h1, h2, coalition):
-                report.failures.append(
+            if not relation(ets, h1, h2, coalition):
+                failures.append(
                     f"{label}: {h1} !~ {h2} despite equal signatures "
                     f"(coalition {format_coalition(coalition)})")
             elif length:
-                related += 1
-                if not (prefixes(parent[i], parent[j])
-                        and profiles(h1.profiles[-1], h2.profiles[-1])
-                        and heads(h1.states[-1], h2.states[-1])):
-                    report.failures.append(
-                        f"{label}: decomposition fails for {h1} ~ {h2}")
-        report.relation_checks += len(pairs) + related
+                checks += 1
+                key = parent[i], parent[j]
+                prefix = prefixes.get(key)
+                if prefix is None:
+                    prefix = prefixes[key] = relation(ets, prev[key[0]], prev[key[1]],
+                                                      coalition)
+                if not (prefix and agree[last[i]][last[j]] and indist[head[i]][head[j]]):
+                    failures.append(f"{label}: decomposition fails for {h1} ~ {h2}")
     # across buckets nothing may be related; adjacent representatives
     # exhaustively, plus a random sample of cross pairs
     reps = [group[0] for group in buckets.values()]
     pairs = list(zip(reps, reps[1:]))
     if len(reps) > 1:
         pairs += [rng.sample(reps, 2) for _ in range(min(200, 4 * len(hs)))]
-    report.relation_checks += len(pairs)
+    report.relation_checks += checks + len(pairs)
     for i, j in pairs:
-        if hist_indist(ets, hs[i], hs[j], coalition):
-            report.failures.append(
+        if relation(ets, hs[i], hs[j], coalition):
+            failures.append(
                 f"{label}: {hs[i]} ~ {hs[j]} across different signatures")
 
 
@@ -584,8 +639,9 @@ def lemma_suite(params: GenParams, num_systems: int = 5,
             for problem in check_equivalence(profiles, prel):
                 report.failures.append(f"profile relation {name}: {problem}")
 
-        # each agent's signature column per level, shared by its coalitions
-        columns: dict[tuple[str, int], list] = {}
+        # each agent's signature column per level, each level's index table
+        # and each coalition's profile and state tables, shared by the checks
+        columns: dict = {}
         for coalition in _coalitions(ets.agents, include_empty=False):
             for length in range(params.history_depth + 1):
                 _check_history_relation(ets, coalition, length, rng, report,

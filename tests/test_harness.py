@@ -291,6 +291,88 @@ def test_a_relation_wrong_only_at_length_1_breaks_decomposition_at_length_2(
     assert {h.count(" ; ") for pair in broken for h in pair} == {4}
 
 
+# sha256 of ``json.dumps(report.to_dict())`` under each planted relation,
+# recorded before the lemma suite numbered its histories: a faster suite
+# must report the same failures, in the same order and the same words
+PLANTED_DIGESTS = {
+    "profiles": ("09be2de621018fef0da120d51d2b496897602cada79772472795b1d7831135fb",
+                 "ecb4132d73c541e4fbecdf282802650f3536f0703747e96702a4a493a28bf313",
+                 "cffd67c9cb3e54da90d99e64e5fcee1b83b217d33d041fb06ba2dfae8a30f808"),
+    "head state": ("c2e7ca0bf61ef5340cdfc355a867b1b2ef4a60d053b14bfaee91e1505ad2d641",
+                   "821c7c7fa6a020b3536466e00a725f0199b603336131a28fb0cf3e5feacdf3d0",
+                   "8f872510960d09a402cb1afc5850a537c5374d920de9d65b14595d69accdb403"),
+    "length": ("288d8efc3464e14b202942792d2866ed74ede6cf22c1cfc9fb37cead12f7e5dc",
+               "d5bf29737fb5c0eba19e468538fa6a11093c30469fa8d732aa74f3ad552221cf",
+               "a02c1ce15d28d09a2713fe1cc1c443de321ac10831030330f9481bc773c3fc2d"),
+    "wrong at length 1": ("0be0d8eb1e27b615883a9532076780dde5b0580f800bec15782fac72737d382f",
+                          "31482b7a909675a6a44fbbe05454e2247c85818ea6cab55f684743deb4b7ed09",
+                          "793467c02e7868768317e44dad082b3bf9ae6456ed4b9dc69f2d15115bc71495"),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("planted", list(PLANTED_DIGESTS))
+def test_the_failure_report_under_a_planted_relation_is_pinned(monkeypatch, planted,
+                                                               seed):
+    relation = (_wrong_at_length_1 if planted == "wrong at length 1"
+                else _relation_without(planted))
+    monkeypatch.setattr(harness, "hist_indist", relation)
+    report = lemma_suite(GenParams(seed=seed), 1)
+    assert report.failures
+    text = json.dumps(report.to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANTED_DIGESTS[planted][seed - 1]
+
+
+# each planted relation is still an equivalence, so only the decomposition
+# check can catch it; the counts were recorded before the lemma suite
+# numbered its histories
+@pytest.mark.parametrize("name, planted, counts", [
+    ("profile_agrees", lambda orig: lambda s1, s2, c: orig(s1, s2, c) and s1 == s2,
+     (1891, 2492, 2305)),
+    ("state_indist", lambda orig: lambda ets, w1, w2, c: orig(ets, w1, w2, c) and w1 == w2,
+     (2175, 1177, 1304)),
+])
+def test_the_decomposition_asks_the_relations_under_test(monkeypatch, name, planted,
+                                                         counts):
+    monkeypatch.setattr(harness, name, planted(getattr(harness, name)))
+    for seed, count in zip((1, 2, 3), counts):
+        failures = lemma_suite(GenParams(seed=seed), num_systems=1).failures
+        assert len(failures) == count
+        assert all("decomposition fails for" in failure for failure in failures)
+
+
+@pytest.mark.parametrize("agents", [1, 2, 3])
+def test_signature_columns_number_the_from_scratch_signatures(agents):
+    # equal ints iff equal (block ids, votes) sequences, numbered in the
+    # order they first appear, so every coalition gets the same buckets in
+    # the same order as from the from-scratch signatures
+    ets = gen_system(GenParams(seed=5, num_agents=agents, num_states=3))
+    columns = {}
+    for length in range(5):
+        hs = histories_of_length(ets, length)
+        scratch = {}
+        for agent in sorted(ets.agents):
+            blocks = {w: i for i, block in enumerate(ets.indist[agent]) for w in block}
+            scratch[agent] = [(tuple(blocks[w] for w in h.states),
+                               tuple(s[agent] for s in h.profiles)) for h in hs]
+            column = harness._signature_column(ets, agent, length, columns)
+            assert len(column) == len(hs)
+            # one int per sequence pair and one sequence pair per int
+            pairs = set(zip(column, scratch[agent]))
+            assert len(set(column)) == len(set(scratch[agent])) == len(pairs)
+            first_seen = list(dict.fromkeys(column))
+            assert first_seen == list(range(len(first_seen)))
+        for coalition in _coalitions(ets.agents, include_empty=False):
+            members = sorted(coalition)
+            numbered, unfolded = {}, {}
+            for i, (ints, sigs) in enumerate(zip(
+                    zip(*[columns[a, length] for a in members]),
+                    zip(*[scratch[a] for a in members]))):
+                numbered.setdefault(ints, []).append(i)
+                unfolded.setdefault(sigs, []).append(i)
+            assert list(numbered.values()) == list(unfolded.values())
+
+
 # sha256 of ``knowhow fuzz --json`` stdout, recorded before the lemma
 # suite's decomposition checks were decided once per distinct pair: a faster
 # suite must print the same report
@@ -323,12 +405,29 @@ FUZZ_DIGESTS = [
      "2bd0e42364585998d115ac2554731813645fe69fddb37662c6f1e0f9322011aa"),
     (["--seed", "3"],
      "f557b58f1cbbec7e892a37596baa125c1e53c00e81173b248f8e3ec9828b8294"),
+    # other shapes, recorded before the lemma suite numbered its histories
+    (["--agents", "3", "--depth", "2", "--systems", "2", "--instances", "1", "--seed", "1"],
+     "4e64caddc62f2261b3e16d50cd3faa22a32eff9c432875454bc91e6120f789fd"),
+    (["--agents", "1", "--systems", "2", "--instances", "1", "--seed", "1"],
+     "e43da9ae279a8a4e66d10bc9ec6407f105223356ac52de1b17f713ea1e8233d5"),
+    (["--choices", "3", "--systems", "2", "--instances", "1", "--seed", "1"],
+     "4409dc88ed74ed08bc5da30c4c23eecaff62912ca797de38b16f8e95879978b6"),
+    (["--depth", "0", "--systems", "2", "--instances", "1", "--seed", "1"],
+     "eb9a555301bb66ade856a4a89a24bfee6f0b69b8e5cd50abc474dd1ab6cdbd73"),
+    (["--depth", "4", "--states", "3", "--systems", "2", "--instances", "1", "--seed", "1"],
+     "c0144afe980738198c0d7bf5d3e7c1eaed5a9852f4592918215f6b85cc9f3fe8"),
 ]
 
 
+def _fuzz_id(argv):
+    """``small-seed1`` or ``defaults-seed1``, with any shape flags between."""
+    shape = "".join(f"{flag[2:]}{value}-"
+                    for flag, value in zip(argv[:-6:2], argv[1:-6:2]))
+    return ("small-" if "--systems" in argv else "defaults-") + shape + f"seed{argv[-1]}"
+
+
 @pytest.mark.parametrize("argv, digest", FUZZ_DIGESTS,
-                         ids=[("small-" if "--systems" in argv else "defaults-")
-                              + f"seed{argv[-1]}" for argv, _ in FUZZ_DIGESTS])
+                         ids=[_fuzz_id(argv) for argv, _ in FUZZ_DIGESTS])
 def test_fuzz_json_output_is_pinned(capsys, argv, digest):
     code = main(["fuzz", "--json", *argv])
     out = capsys.readouterr().out
