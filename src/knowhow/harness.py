@@ -4,9 +4,12 @@ The soundness suite instantiates each axiom schema with random formulas and
 coalitions (side conditions respected), evaluates the instances at histories
 of generated systems, and double-checks any would-be counterexample with the
 naive oracle so a checker bug cannot masquerade as a logic violation.  The
-lemma suite exercises the equivalence-relation, length, and decomposition
-properties of the three indistinguishability relations and the derived
-semantic laws of the modalities.  Both are deterministic in the seed.
+lemma suite checks, on every pair, each coalition's state and profile
+relations against equality of independent keys (members' block ids and
+votes), so each is the intended equivalence; the history relation against
+independent signatures, with its length and decomposition properties; and
+the derived semantic laws of the modalities.  Both are deterministic in
+the seed.
 
 The history-relation check is the lemma suite's main cost.  Its pair set is
 fixed by the seed: per level and coalition, all pairs inside small
@@ -27,7 +30,6 @@ level and coalition, however many related pairs share it.
 """
 from __future__ import annotations
 
-import collections
 import hashlib
 import itertools
 import random
@@ -129,43 +131,6 @@ def gen_system(params: GenParams) -> EpistemicTransitionSystem:
 MAX_HISTORIES = 100_000
 
 
-#: Most histories of length <= ``history_depth`` times nonempty coalitions
-#: that the lemma suite checks per system: it checks every level once per
-#: nonempty coalition, so its work grows with both.  On a 2-vCPU Xeon VM
-#: (Python 3.11), ``fuzz --systems 1 --instances 1`` took 1.3-1.6 s at
-#: 99,932 (``--seed 3``, three agents, two states, depth 4) and 0.4 s at 31k
-#: (three agents, other parameters at their defaults); four agents at the
-#: defaults make 368k-617k.  CLI defaults stay under 3.1k, the tests under 27k.
-MAX_LEMMA_PAIRS = 100_000
-
-
-#: Most calls the lemma suite's :func:`check_equivalence` makes per system on
-#: the states and complete profiles of every coalition.  On a 2-vCPU Xeon VM
-#: (Python 3.11), six agents on one state make 4.78M (``fuzz`` takes 1.8 s),
-#: seven 52M and 200 states 17M; CLI defaults make 910, the tests at most 45k.
-MAX_EQUIVALENCE_PAIRS = 5_000_000
-
-
-def _check_equivalence_pairs(ets: EpistemicTransitionSystem) -> None:
-    """Refuse ``ets`` if :func:`check_equivalence` would make more than
-    ``MAX_EQUIVALENCE_PAIRS`` calls on its states and complete profiles.
-
-    On n items in classes of sizes s it makes n + 3n^2 + n*sum(s^2) + sum(s^3)
-    calls, so each coalition's class sizes give the count.
-    """
-    total = 0
-    for coalition in _coalitions(ets.agents, include_empty=True):
-        for classes in ([tuple(ets.block(a, w) for a in coalition) for w in ets.states],
-                        ets.votes_of(coalition).values()):
-            sizes = collections.Counter(classes).values()
-            n = sum(sizes)
-            total += n + 3 * n * n + sum(n * s * s + s ** 3 for s in sizes)
-        if total > MAX_EQUIVALENCE_PAIRS:
-            raise GenParamsError(
-                f"a generated system has {len(ets.states)} states and {len(ets.complete_profiles)} "
-                f"complete profiles, more than {MAX_EQUIVALENCE_PAIRS} pairs for the lemma suite")
-
-
 def _check_history_count(ets: EpistemicTransitionSystem, depth: int) -> int:
     """The number of histories of ``ets`` of length <= ``depth``; refuse
     ``ets`` if it has over ``MAX_HISTORIES`` of them.
@@ -182,6 +147,33 @@ def _check_history_count(ets: EpistemicTransitionSystem, depth: int) -> int:
                                  f"histories of length at most {depth}")
         starting = {w: sum(starting[w2] for _, w2 in ets.successors(w)) for w in ets.states}
     return total
+
+
+#: Most pairs the lemma suite checks per system: its histories of length
+#: <= ``history_depth`` times its nonempty coalitions, since it checks every
+#: level once per nonempty coalition, plus its coalitions times the pairs of
+#: states and of complete profiles whose relations it compares with their
+#: keys.  On a 2-vCPU Xeon VM (Python 3.11), ``fuzz --systems 1 --instances
+#: 1`` took 3.4-5.6 s at 291,567 (``--seed 1``, three agents, three states,
+#: depth 4), 0.2 s at 262,271 (six agents on one state, depth 0) and 0.7 s at
+#: 247,781 (200 states); four agents at the defaults make 348k-634k and seven
+#: on one state 2.1M.  CLI defaults stay under 3.5k.
+MAX_LEMMA_PAIRS = 300_000
+
+
+def _check_lemma_pairs(ets: EpistemicTransitionSystem, depth: int) -> None:
+    """Refuse ``ets`` if the lemma suite would check more than
+    ``MAX_LEMMA_PAIRS`` pairs on it, counted before any level is listed."""
+    histories = _check_history_count(ets, depth)
+    coalitions = 1 << len(ets.agents)
+    states, profiles = len(ets.states), len(ets.complete_profiles)
+    pairs = histories * (coalitions - 1) + coalitions * (states ** 2 + profiles ** 2)
+    if pairs > MAX_LEMMA_PAIRS:
+        raise GenParamsError(
+            f"a generated system makes {pairs} pairs for the lemma suite, more than "
+            f"{MAX_LEMMA_PAIRS}: {histories} histories of length at most {depth} times "
+            f"{coalitions - 1} nonempty coalitions, plus {coalitions} coalitions times "
+            f"({states} states squared + {profiles} complete profiles squared)")
 
 
 def gen_coalition(rng: random.Random, agents: tuple[str, ...],
@@ -431,26 +423,6 @@ class LemmaReport:
         return "\n".join(self.to_lines())
 
 
-def check_equivalence(items, related) -> list[str]:
-    """Reflexivity, symmetry, and transitivity of ``related`` over ``items``."""
-    problems = []
-    for x in items:
-        if not related(x, x):
-            problems.append(f"not reflexive at {x}")
-    for x in items:
-        for y in items:
-            if related(x, y) != related(y, x):
-                problems.append(f"not symmetric at {x}, {y}")
-    for x in items:
-        for y in items:
-            if not related(x, y):
-                continue
-            for z in items:
-                if related(y, z) and not related(x, z):
-                    problems.append(f"not transitive at {x}, {y}, {z}")
-    return problems
-
-
 def _coalitions(agents: frozenset[str], include_empty: bool):
     members = sorted(agents)
     out = []
@@ -482,6 +454,57 @@ def _level_table(ets, length: int, columns: dict) -> tuple[list, list, list]:
     return table
 
 
+def _block_ids(ets, agent: str) -> list[int]:
+    """The agent's block of each state, by state index, read from ``ets.indist``."""
+    block = {w: i for i, b in enumerate(ets.indist[agent]) for w in b}
+    return [block[w] for w in sorted(ets.states)]
+
+
+def _relation_tables(ets, coalition: Coalition, columns: dict) -> tuple[list, list]:
+    """Whether each two complete profiles agree and each two states (by
+    index) are indistinguishable for ``coalition``, asked once per pair and
+    kept in ``columns`` for the key and decomposition checks."""
+    tables = columns.get(coalition)
+    if tables is None:
+        profiles, states = ets.complete_profiles, sorted(ets.states)
+        tables = columns[coalition] = (
+            [[profile_agrees(s1, s2, coalition) for s2 in profiles] for s1 in profiles],
+            [[state_indist(ets, w1, w2, coalition) for w2 in states] for w1 in states])
+    return tables
+
+
+def _check_relation_keys(ets, coalition: Coalition, report: LemmaReport,
+                         columns: dict) -> None:
+    """Check the state and profile relations of ``coalition`` on every pair.
+
+    ``state_indist`` must be equality of the members' blocks
+    (:func:`_block_ids`) and ``profile_agrees`` equality of the members'
+    votes read from ``Profile.votes``.  Agreeing with equality of a key
+    makes a relation reflexive, symmetric and transitive, and the intended one.
+    """
+    agree, indist = _relation_tables(ets, coalition, columns)
+    states, profiles = sorted(ets.states), ets.complete_profiles
+    blocks = [_block_ids(ets, a) for a in sorted(coalition)]
+    state_keys = [tuple(column[i] for column in blocks) for i in range(len(states))]
+    profile_keys = [tuple(v for v in s.votes if v[0] in coalition) for s in profiles]
+    for kind, items, keys, table, key_name in (
+            ("state", states, state_keys, indist, "blocks"),
+            ("profile", profiles, profile_keys, agree, "votes")):
+        report.relation_checks += len(items) ** 2
+        for x, key, row in zip(items, keys, table):
+            for y, other, related in zip(items, keys, row):
+                if related == (key == other):
+                    continue
+                if x is y:
+                    problem = f"not reflexive at {x}"
+                elif related:
+                    problem = f"{x} ~ {y} across different {key_name}"
+                else:
+                    problem = f"{x} !~ {y} despite equal {key_name}"
+                report.failures.append(
+                    f"{kind} relation {format_coalition(coalition)}: {problem}")
+
+
 def _signature_column(ets, agent: str, length: int, columns: dict) -> list[int]:
     """One agent's part of every history's signature on one level, as ints.
 
@@ -497,8 +520,7 @@ def _signature_column(ets, agent: str, length: int, columns: dict) -> list[int]:
     """
     column = columns.get((agent, length))
     if column is None:
-        block = {w: i for i, b in enumerate(ets.indist[agent]) for w in b}
-        blocks = [block[w] for w in sorted(ets.states)]  # by state index
+        blocks = _block_ids(ets, agent)
         parent, last, head = _level_table(ets, length, columns)
         keys = map(blocks.__getitem__, head)
         if length:
@@ -527,8 +549,8 @@ def _check_history_relation(ets, coalition: Coalition, length: int,
 
     The decomposition reads int tables: each history's parent, last profile
     and head from :func:`_level_table`, and whether each two complete
-    profiles agree and each two states are indistinguishable, decided once
-    per coalition and kept in ``columns`` under it.  A prefix pair is
+    profiles agree and each two states are indistinguishable from
+    :func:`_relation_tables`.  A prefix pair is
     decided by ``hist_indist`` when a related pair first needs it, once per
     distinct pair of parents.
     """
@@ -548,13 +570,7 @@ def _check_history_relation(ets, coalition: Coalition, length: int,
     if length:
         prev = histories_of_length(ets, length - 1)
         parent, last, head = _level_table(ets, length, columns)
-        tables = columns.get(coalition)
-        if tables is None:
-            profiles, states = ets.complete_profiles, sorted(ets.states)
-            tables = columns[coalition] = (
-                [[profile_agrees(s1, s2, coalition) for s2 in profiles] for s1 in profiles],
-                [[state_indist(ets, w1, w2, coalition) for w2 in states] for w1 in states])
-        agree, indist = tables
+        agree, indist = _relation_tables(ets, coalition, columns)
         prefixes: dict = {}
 
     # the module's relation, read once per call, so a patched one is checked
@@ -603,7 +619,12 @@ def _check_history_relation(ets, coalition: Coalition, length: int,
 def lemma_suite(params: GenParams, num_systems: int = 5,
                 extra_systems: tuple[EpistemicTransitionSystem, ...] = ()
                 ) -> LemmaReport:
-    """Equivalence, length, and decomposition lemmas plus derived semantic laws."""
+    """Relation, length, and decomposition lemmas plus derived semantic laws.
+
+    Each system is refused past ``MAX_LEMMA_PAIRS`` before any check; then
+    every coalition's state and profile relations meet their keys, and
+    every nonempty coalition's history relation its signatures.
+    """
     if num_systems < 0:
         raise GenParamsError("system count must be non-negative")
     report = LemmaReport(params)
@@ -611,37 +632,14 @@ def lemma_suite(params: GenParams, num_systems: int = 5,
     for i in range(num_systems):
         systems.append(gen_system(replace(params, seed=params.seed * 7_368_787 + i)))
     for index, ets in enumerate(systems):
-        histories = _check_history_count(ets, params.history_depth)
-        coalitions = (1 << len(ets.agents)) - 1  # nonempty ones
-        if histories * coalitions > MAX_LEMMA_PAIRS:
-            raise GenParamsError(
-                f"a generated system has {histories} histories of length at most "
-                f"{params.history_depth} and {coalitions} nonempty coalitions, more "
-                f"than {MAX_LEMMA_PAIRS} pairs for the lemma suite")
-        _check_equivalence_pairs(ets)
+        _check_lemma_pairs(ets, params.history_depth)
         report.systems += 1
         rng = _rng(params, "lemma", index)
-        states = sorted(ets.states)
-        profiles = ets.complete_profiles
-
-        for coalition in _coalitions(ets.agents, include_empty=True):
-            def srel(w1, w2, c=coalition):
-                report.relation_checks += 1
-                return state_indist(ets, w1, w2, c)
-
-            def prel(s1, s2, c=coalition):
-                report.relation_checks += 1
-                return profile_agrees(s1, s2, c)
-
-            name = format_coalition(coalition)
-            for problem in check_equivalence(states, srel):
-                report.failures.append(f"state relation {name}: {problem}")
-            for problem in check_equivalence(profiles, prel):
-                report.failures.append(f"profile relation {name}: {problem}")
-
         # each agent's signature column per level, each level's index table
         # and each coalition's profile and state tables, shared by the checks
         columns: dict = {}
+        for coalition in _coalitions(ets.agents, include_empty=True):
+            _check_relation_keys(ets, coalition, report, columns)
         for coalition in _coalitions(ets.agents, include_empty=False):
             for length in range(params.history_depth + 1):
                 _check_history_relation(ets, coalition, length, rng, report,

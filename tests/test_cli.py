@@ -446,23 +446,37 @@ def test_fuzz_takes_no_horizon_option(capsys, flag):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--agents", "7"), ("--agents", "8"), ("--states", "200")])
-def test_fuzz_past_the_equivalence_cap_is_refused_before_any_check(
-        capsys, monkeypatch, flag, value):
-    def unchecked(items, related):
-        raise AssertionError("checked an equivalence")
+@pytest.mark.parametrize("agents", ["7", "8"])
+def test_fuzz_past_the_lemma_pair_cap_is_refused_before_any_key_check(
+        capsys, monkeypatch, agents):
+    # their complete profiles give 2.1M and 16.8M key pairs
+    def unchecked(*args):
+        raise AssertionError("checked a relation against its key")
 
-    monkeypatch.setattr(harness, "check_equivalence", unchecked)
+    monkeypatch.setattr(harness, "_check_relation_keys", unchecked)
     start = time.perf_counter()
     code = main(["fuzz", "--states", "1", "--depth", "0", "--systems", "1",
-                 "--instances", "1", flag, value])
+                 "--instances", "1", "--agents", agents])
     assert time.perf_counter() - start < 5.0
     out, err = capsys.readouterr()
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "pairs for the lemma suite" in err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("shape, key_pairs", [
+    (["--states", "200"], 4 * (200 ** 2 + 4 ** 2)),
+    (["--agents", "6", "--states", "1", "--depth", "0"], 64 * (1 + 64 ** 2))])
+def test_fuzz_checks_many_states_or_profiles_against_their_keys(capsys, shape,
+                                                                key_pairs):
+    # 160k state pairs and 262k profile pairs, each asked once, stay under
+    # the lemma suite's cap
+    code = main(["fuzz", "--json", "--systems", "1", "--instances", "1", *shape])
+    lemmas = json.loads(capsys.readouterr().out)["lemmas"]
+    assert code == 0
+    assert lemmas["failures"] == []
+    assert lemmas["relation_checks"] > key_pairs
 
 
 def _wildcard_model(agents: int) -> str:

@@ -15,13 +15,13 @@ from knowhow.checker import Verdict, evaluate
 from knowhow.cli import main
 from knowhow.formula import Atom, Falsum, h_depth, parse, uses_empty_coalition
 from knowhow.harness import (
-    GenParams, GenParamsError, LemmaReport, check_equivalence, check_instance,
+    GenParams, GenParamsError, LemmaReport, check_instance,
     gen_formula, gen_system, instantiate_axiom, lemma_suite, soundness_suite,
     _check_history_relation, _coalitions, _rng,
 )
 from knowhow.proofkit import AxiomName, match_axiom
 from knowhow.system import (
-    MAX_PROFILES, EpistemicTransitionSystem, check_regular, hist_indist,
+    MAX_PROFILES, EpistemicTransitionSystem, Profile, check_regular, hist_indist,
     histories_of_length, profile_agrees, state_indist,
 )
 
@@ -172,10 +172,12 @@ def test_lemma_suite_raises_when_evaluate_refutes_a_valid_law(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, relation_checks, property_checks",
-                         [(1, 15700, 41), (2, 19541, 42), (3, 16150, 41)])
+                         [(1, 14918, 41), (2, 18745, 42), (3, 15354, 41)])
 def test_lemma_suite_counts_are_pinned(seed, relation_checks, property_checks):
-    # counts recorded before the relation checks were made cheaper: a faster
-    # suite must still check every pair it checked then
+    # counts recorded when the state and profile relations were first checked
+    # against keys: the history pairs are those counted since the relation
+    # checks were made cheaper, plus 4 coalitions x (16 + 16) key pairs; a
+    # faster suite must still check every pair
     report = lemma_suite(GenParams(seed=seed), num_systems=1)
     assert report.failures == []
     assert report.relation_checks == relation_checks
@@ -200,11 +202,13 @@ def test_every_pair_still_reaches_the_relation_under_test(monkeypatch, seed,
 
 # three agents give seven coalitions, so each agent's signature column is
 # shared four ways; counts and the sha256 of the sorted JSON report were
-# recorded before the columns were shared
+# recorded before the columns were shared, and re-recorded with only
+# relation_checks changed when the state and profile relations were first
+# checked against keys
 @pytest.mark.parametrize("seed, relation_checks, property_checks, digest", [
-    (1, 34281, 42, "9a8ad00d07e44d33a7c55ac9e4598c91456f5a5f4d94646048a79fe0bbe65388"),
-    (2, 34701, 40, "69402326321d87f0f65916fdf8cc1590fdf9d6317557f29d67019e802d2cc923"),
-    (3, 37044, 41, "4e7b40a081e0e81cb61632f19a6c775568b14c1b5ae89e3993d04034260f1f27"),
+    (1, 29771, 42, "743c21e8be7a123c6dc97c89b9cf1445db39c4c8d23fba376b0306dba2d2b1ce"),
+    (2, 30183, 40, "3292eaae31c25e0226ae4e37040e77b09634c0027d11ad76dd7a865ccc8fcad3"),
+    (3, 32472, 41, "6d4723eed344785fc1ffca8c1fe923fb417738e97e4df339be0a3cc841655785"),
 ])
 def test_three_agent_lemma_report_is_pinned(seed, relation_checks,
                                             property_checks, digest):
@@ -292,21 +296,23 @@ def test_a_relation_wrong_only_at_length_1_breaks_decomposition_at_length_2(
 
 
 # sha256 of ``json.dumps(report.to_dict())`` under each planted relation,
-# recorded before the lemma suite numbered its histories: a faster suite
-# must report the same failures, in the same order and the same words
+# recorded before the lemma suite numbered its histories, and re-recorded
+# with only relation_checks changed when the state and profile relations
+# were first checked against keys: a faster suite must report the same
+# failures, in the same order and the same words
 PLANTED_DIGESTS = {
-    "profiles": ("09be2de621018fef0da120d51d2b496897602cada79772472795b1d7831135fb",
-                 "ecb4132d73c541e4fbecdf282802650f3536f0703747e96702a4a493a28bf313",
-                 "cffd67c9cb3e54da90d99e64e5fcee1b83b217d33d041fb06ba2dfae8a30f808"),
-    "head state": ("c2e7ca0bf61ef5340cdfc355a867b1b2ef4a60d053b14bfaee91e1505ad2d641",
-                   "821c7c7fa6a020b3536466e00a725f0199b603336131a28fb0cf3e5feacdf3d0",
-                   "8f872510960d09a402cb1afc5850a537c5374d920de9d65b14595d69accdb403"),
-    "length": ("288d8efc3464e14b202942792d2866ed74ede6cf22c1cfc9fb37cead12f7e5dc",
-               "d5bf29737fb5c0eba19e468538fa6a11093c30469fa8d732aa74f3ad552221cf",
-               "a02c1ce15d28d09a2713fe1cc1c443de321ac10831030330f9481bc773c3fc2d"),
-    "wrong at length 1": ("0be0d8eb1e27b615883a9532076780dde5b0580f800bec15782fac72737d382f",
-                          "31482b7a909675a6a44fbbe05454e2247c85818ea6cab55f684743deb4b7ed09",
-                          "793467c02e7868768317e44dad082b3bf9ae6456ed4b9dc69f2d15115bc71495"),
+    "profiles": ("dfc2dea1f5adabb32bcfa859b40a090f0f18139005d6436d664a94b686bdba98",
+                 "94f565b30fec9a8c632a1c46c61a9dcf2b8710b97aa16d6f6bd7b74288b410a7",
+                 "7f88b07d3ec0202d77a4ab4c18f575f6ec9afc0cffb0fabec3fc789d109ec198"),
+    "head state": ("23c9b372efcc2d3c620c483ff6d08cc6a71f1ee5f0fd365c752c1dfe15e5e49d",
+                   "d8304f5a4d5b44f2e06aa43aef22168fa9ada38bbb32e26ca478a1ea0092dcc3",
+                   "b0f990a49ff8424f2b061173b0c412eb74f6bb030e9f55df3a55d87b2e469d14"),
+    "length": ("62cd5ae81ea3c2a28e96e0f4e6c9eb78e0eadc438404f731ab8487db630a9964",
+               "c08025c989532207b1fdeb841c51a7d4a43a9f867575b0144d721673838b90e0",
+               "ab6297d577c7723a2e488f04da5caf5ffa2419f5b160679f9e9aa301294de64d"),
+    "wrong at length 1": ("cbf7e5f94c3e591d694454c29c2878adf9a35987fe6e90ba06d1e3a7179c7bfb",
+                          "1030ab234668f371a244bcfd05f8ada2fa0ad9704a0131d13f8e08f9742cc08d",
+                          "34d6f613e15b476131c72790efa69517fb88614741b3e355d509c53e4d2fd473"),
 }
 
 
@@ -323,22 +329,57 @@ def test_the_failure_report_under_a_planted_relation_is_pinned(monkeypatch, plan
     assert hashlib.sha256(text.encode()).hexdigest() == PLANTED_DIGESTS[planted][seed - 1]
 
 
-# each planted relation is still an equivalence, so only the decomposition
-# check can catch it; the counts were recorded before the lemma suite
-# numbered its histories
-@pytest.mark.parametrize("name, planted, counts", [
-    ("profile_agrees", lambda orig: lambda s1, s2, c: orig(s1, s2, c) and s1 == s2,
-     (1891, 2492, 2305)),
-    ("state_indist", lambda orig: lambda ets, w1, w2, c: orig(ets, w1, w2, c) and w1 == w2,
+# each planted relation is still an equivalence, but a finer one than its
+# key, so the key check reports it too; the decomposition counts were
+# recorded before the lemma suite numbered its histories
+@pytest.mark.parametrize("name, kind, planted, counts", [
+    ("profile_agrees", "profile",
+     lambda orig: lambda s1, s2, c: orig(s1, s2, c) and s1 == s2, (1891, 2492, 2305)),
+    ("state_indist", "state",
+     lambda orig: lambda ets, w1, w2, c: orig(ets, w1, w2, c) and w1 == w2,
      (2175, 1177, 1304)),
 ])
-def test_the_decomposition_asks_the_relations_under_test(monkeypatch, name, planted,
-                                                         counts):
+def test_the_decomposition_asks_the_relations_under_test(monkeypatch, name, kind,
+                                                         planted, counts):
     monkeypatch.setattr(harness, name, planted(getattr(harness, name)))
     for seed, count in zip((1, 2, 3), counts):
         failures = lemma_suite(GenParams(seed=seed), num_systems=1).failures
+        keyed = [f for f in failures if f.startswith(f"{kind} relation {{")]
+        assert keyed and all(" !~ " in f and "despite equal" in f for f in keyed)
+        assert len(failures) - len(keyed) == count
+        assert all("decomposition fails for" in failure
+                   for failure in failures if failure not in keyed)
+
+
+def _dropping_the_largest_member(relation):
+    """``relation`` for a coalition of two or more without its largest
+    member: still an equivalence, but a coarser one."""
+
+    def related(*args):
+        *items, coalition = args
+        if len(coalition) > 1:
+            coalition = coalition - {max(coalition)}
+        return relation(*items, coalition)
+
+    return related
+
+
+# an equivalence that is not the intended one: only the key check can tell;
+# on seed 3 the dropped member's blocks coincide with the others'
+@pytest.mark.parametrize("name, kind, key, counts", [
+    ("state_indist", "state", "blocks", (6, 8, 0)),
+    ("profile_agrees", "profile", "votes", (56, 56, 56)),
+])
+def test_the_key_check_catches_a_relation_that_ignores_a_member(monkeypatch, name,
+                                                                kind, key, counts):
+    monkeypatch.setattr(harness, name, _dropping_the_largest_member(getattr(harness, name)))
+    for seed, count in zip((1, 2, 3), counts):
+        params = GenParams(seed=seed, num_agents=3, history_depth=2)
+        failures = lemma_suite(params, num_systems=1).failures
         assert len(failures) == count
-        assert all("decomposition fails for" in failure for failure in failures)
+        assert all(re.fullmatch(rf"{kind} relation \{{a\d,a\d(,a\d)?\}}: \S+ ~ \S+ "
+                                rf"across different {key}", f)
+                   for f in failures), failures
 
 
 @pytest.mark.parametrize("agents", [1, 2, 3])
@@ -374,48 +415,50 @@ def test_signature_columns_number_the_from_scratch_signatures(agents):
 
 
 # sha256 of ``knowhow fuzz --json`` stdout, recorded before the lemma
-# suite's decomposition checks were decided once per distinct pair: a faster
-# suite must print the same report
+# suite's decomposition checks were decided once per distinct pair, and
+# re-recorded with only relation_checks changed when the state and profile
+# relations were first checked against keys: a faster suite must print the
+# same report
 FUZZ_DIGESTS = [
     (["--systems", "1", "--instances", "5", "--seed", "1"],
-     "3bf71f23cfae33698ca8ebf498f7009a6f28614f8da51444029ef5cc5b677bd2"),
+     "627f7e91189867809fff3c796c23abd8e89ddaf0bc5585728883cd0a3c16dab0"),
     (["--systems", "1", "--instances", "5", "--seed", "2"],
-     "a17b7e48b8d6089551921bbdf5dd0c0d504c6eb282412c45f654109bc84d803a"),
+     "225dcd4c2866c4b1778722028845d87a9bfdbf56f392a880054556e873d498b3"),
     (["--systems", "1", "--instances", "5", "--seed", "3"],
-     "2c47a4be2aa6081633e08ac5a2b2f5d9f5884f95eb633c92f9cac07a20a0c57c"),
+     "1eaa4410f443002bb13c47f5644037364ec500054aaa8f6a2616ced5a9b1d21d"),
     (["--systems", "1", "--instances", "5", "--seed", "4"],
-     "83fc730d43075e9495d55f18c7a52d0d1b5559fd00d802277649c89d44785e9f"),
+     "11cbddaaed62fe6fb3cd5a3e38a4d56d720b4cbc3ea5dea084914ce0caf38724"),
     (["--systems", "1", "--instances", "5", "--seed", "5"],
-     "2acaef872a383684e13d854d00a6ffeafc65dcd2273ef899107cf70432fc559e"),
+     "8d7e8809d3ab51806b06375f7b3ad183031b2facc82596c4c162a4e475125473"),
     (["--systems", "1", "--instances", "5", "--seed", "6"],
-     "4515edd955fe4a3ea3ccdb86c7d5c261564ddf5d7943291a1d1a42053f90a196"),
+     "f9074f8d483f6732ed3d1d3779aae0c00249daa915bee167b03a9ea35fceec26"),
     (["--systems", "1", "--instances", "5", "--seed", "7"],
-     "24668d59ef6268cb2f4d6b9f7829ba2fbfdfc10e82c148e59683b4eeb7b6bed6"),
+     "b70c3c01fd73b397a6137c028c18b414caada53d6e784cd3b1487a1d97fd5dc9"),
     (["--systems", "1", "--instances", "5", "--seed", "8"],
-     "2c86518377e7d03c7296c58f4baee5fa98f721760dd7d20900e974bd00833c8a"),
+     "77c293ee23d016cd8b2b459e64889ca6495f2cc6285712c3c51cba96dc14ba3e"),
     (["--systems", "1", "--instances", "5", "--seed", "9"],
-     "67d2323568a81370ab55b1b4cecfe80312de1f7238db73b1bc615b5a74bac227"),
+     "e0ab8a5c2aefbd1cf806bebf89881eeef5035cfdf5fd0d8a6795aa801ba3f441"),
     (["--systems", "1", "--instances", "5", "--seed", "10"],
-     "a08f70eb68ee01558099364d00a739ee8da3cd0f66dc3ed69792cde8d756b746"),
+     "bcb11ecdc4e247055c1d853c3299db57ee9ef32d87ba546530bef90ba002cf58"),
     (["--seed", "0"],
-     "ce4cf48fa4907ac57fa211c0026b269975ee856427da33d1242b82f3a8a87243"),
+     "f50a40c84051b3813717bd588bc02a442b23f2a053db3b96bf2358d9867b8246"),
     (["--seed", "1"],
-     "49e9bdb7a37b94d014cc38f807ee7608206bfef0e6c9fc21d04dcead5f137a56"),
+     "25ea2726c09fa04e346deb627dd8bf3ee1c51e96df35bcb2d8edbdadf6de1d9a"),
     (["--seed", "2"],
-     "2bd0e42364585998d115ac2554731813645fe69fddb37662c6f1e0f9322011aa"),
+     "bbae01cb23a052af0be327ecfc6338d0bbbf32d02e5e9b47a2be5737ae5c3014"),
     (["--seed", "3"],
-     "f557b58f1cbbec7e892a37596baa125c1e53c00e81173b248f8e3ec9828b8294"),
+     "6877f8b57bb406e96838b089eda14364f308825e676bc21786973b8f99e50bc2"),
     # other shapes, recorded before the lemma suite numbered its histories
     (["--agents", "3", "--depth", "2", "--systems", "2", "--instances", "1", "--seed", "1"],
-     "4e64caddc62f2261b3e16d50cd3faa22a32eff9c432875454bc91e6120f789fd"),
+     "4f5fad0b6d9f27809682d00b9dd5072019e23cc7e8411bdfeb31a540bef09ca8"),
     (["--agents", "1", "--systems", "2", "--instances", "1", "--seed", "1"],
-     "e43da9ae279a8a4e66d10bc9ec6407f105223356ac52de1b17f713ea1e8233d5"),
+     "52cd426a08d44e14c1dccbe0d3462c4daff52adabac48b9f17aa831a0d5b43e6"),
     (["--choices", "3", "--systems", "2", "--instances", "1", "--seed", "1"],
-     "4409dc88ed74ed08bc5da30c4c23eecaff62912ca797de38b16f8e95879978b6"),
+     "9274f56d8bc5bc9d18048b905b8842255787055b6e5577f401a7360cb7b02cbc"),
     (["--depth", "0", "--systems", "2", "--instances", "1", "--seed", "1"],
-     "eb9a555301bb66ade856a4a89a24bfee6f0b69b8e5cd50abc474dd1ab6cdbd73"),
+     "46add9e2cfe2b931965084b87b321f1245ca3bd7f674f3446235988874a07e39"),
     (["--depth", "4", "--states", "3", "--systems", "2", "--instances", "1", "--seed", "1"],
-     "c0144afe980738198c0d7bf5d3e7c1eaed5a9852f4592918215f6b85cc9f3fe8"),
+     "dcdc4058f9b1edd9619611718af94230667745198a1dff0744101a4208c10823"),
 ]
 
 
@@ -440,22 +483,36 @@ def test_empty_coalition_relates_histories_of_different_lengths(t1):
     assert hist_indist(t1, h0, h2, frozenset())
 
 
-def test_check_equivalence_detects_injected_violations():
-    items = [0, 1, 2, 3]
+def test_the_key_check_detects_injected_violations(monkeypatch):
+    # four states in two blocks by parity, so the key is the parity
+    states = ["s0", "s1", "s2", "s3"]
+    ets = EpistemicTransitionSystem(
+        ["a"], states, ["0"], {"a": [["s0", "s2"], ["s1", "s3"]]},
+        [(w, Profile.of({"a": "0"}), w) for w in states], {})
+
+    def failures(relation):
+        monkeypatch.setattr(harness, "state_indist",
+                            lambda ets, w1, w2, c: relation(int(w1[1:]), int(w2[1:])))
+        report = LemmaReport(GenParams())
+        harness._check_relation_keys(ets, frozenset({"a"}), report, {})
+        assert report.relation_checks == 16 + 1
+        return report.failures
+
     # same parity, except the pair (0, 2) is severed in one direction
     def broken(x, y):
         if (x, y) == (0, 2):
             return False
         return x % 2 == y % 2
 
-    problems = check_equivalence(items, broken)
-    assert any("symmetric" in p for p in problems) or \
-           any("transitive" in p for p in problems)
+    assert failures(broken) == ["state relation {a}: s0 !~ s2 despite equal blocks"]
 
     def not_reflexive(x, y):
         return x != y
 
-    assert any("reflexive" in p for p in check_equivalence(items, not_reflexive))
+    problems = failures(not_reflexive)
+    assert [p for p in problems if "reflexive" in p] == [
+        f"state relation {{a}}: not reflexive at {w}" for w in states]
+    assert len(problems) == 4 + 8
 
 
 def test_reports_render_text_and_dict():
@@ -562,46 +619,57 @@ def test_a_system_with_too_many_histories_is_refused_before_any_is_listed(
 
 
 def test_the_lemma_suite_refuses_past_its_history_and_coalition_pairs(monkeypatch):
-    # 31,989 histories of length <= 3 times 15 nonempty coalitions; the cap
-    # is decided before any level is listed
-    def unlisted(ets, length):
-        raise AssertionError("listed a level")
+    # 31,989 histories of length <= 3 times 15 nonempty coalitions, plus 16
+    # coalitions times (4^2 state pairs + 16^2 profile pairs); the cap is
+    # decided before any level is listed and any relation is asked
+    def past_the_cap(*args):
+        raise AssertionError("ran past the cap")
 
-    monkeypatch.setattr(harness, "histories_of_length", unlisted)
+    monkeypatch.setattr(harness, "histories_of_length", past_the_cap)
+    monkeypatch.setattr(harness, "state_indist", past_the_cap)
     params = GenParams(seed=0, num_agents=4)
-    monkeypatch.setattr(harness, "MAX_LEMMA_PAIRS", 31989 * 15 - 1)
-    with pytest.raises(GenParamsError, match="31989 histories of length at most 3 "
-                                             "and 15 nonempty coalitions"):
+    pairs = 31989 * 15 + 16 * (4 ** 2 + 16 ** 2)
+    monkeypatch.setattr(harness, "MAX_LEMMA_PAIRS", pairs - 1)
+    with pytest.raises(GenParamsError, match=re.escape(
+            f"makes {pairs} pairs for the lemma suite, more than {pairs - 1}: 31989 "
+            "histories of length at most 3 times 15 nonempty coalitions, plus 16 "
+            "coalitions times (4 states squared + 16 complete profiles squared)")):
         lemma_suite(params, num_systems=1)
-    monkeypatch.setattr(harness, "MAX_LEMMA_PAIRS", 31989 * 15)
-    with pytest.raises(AssertionError, match="listed a level"):
+    monkeypatch.setattr(harness, "MAX_LEMMA_PAIRS", pairs)
+    with pytest.raises(AssertionError, match="ran past the cap"):
         lemma_suite(params, num_systems=1)
 
 
 @pytest.mark.parametrize("params", [
     GenParams(), GenParams(seed=1, num_agents=3, num_states=6),
     GenParams(seed=2, num_agents=1, num_choices=3, num_states=9),
-    GenParams(seed=3, num_agents=4, num_states=1)])
-def test_the_equivalence_count_is_that_of_the_calls(monkeypatch, params):
+    GenParams(seed=3, num_agents=4, num_states=1, history_depth=2),
+    GenParams(seed=4, history_depth=0)])
+def test_the_lemma_pair_count_is_that_of_the_calls(monkeypatch, params):
+    # the suite asks each state and profile relation once per pair and
+    # coalition, at depth 0 too, and checks every level once per nonempty
+    # coalition
     ets = gen_system(params)
     calls = 0
 
-    def counting(relation, c):
-        def related(x, y):
+    def counting(relation):
+        def related(*args):
             nonlocal calls
             calls += 1
-            return relation(x, y, c)
+            return relation(*args)
         return related
 
-    for c in _coalitions(ets.agents, include_empty=True):
-        check_equivalence(sorted(ets.states),
-                          counting(lambda w1, w2, c: state_indist(ets, w1, w2, c), c))
-        check_equivalence(ets.complete_profiles, counting(profile_agrees, c))
-    monkeypatch.setattr(harness, "MAX_EQUIVALENCE_PAIRS", calls)
-    harness._check_equivalence_pairs(ets)
-    monkeypatch.setattr(harness, "MAX_EQUIVALENCE_PAIRS", calls - 1)
-    with pytest.raises(GenParamsError, match="pairs for the lemma suite"):
-        harness._check_equivalence_pairs(ets)
+    monkeypatch.setattr(harness, "state_indist", counting(state_indist))
+    monkeypatch.setattr(harness, "profile_agrees", counting(profile_agrees))
+    assert lemma_suite(params, num_systems=0, extra_systems=(ets,)).failures == []
+    histories = sum(len(histories_of_length(ets, n))
+                    for n in range(params.history_depth + 1))
+    pairs = calls + histories * ((1 << len(ets.agents)) - 1)
+    monkeypatch.setattr(harness, "MAX_LEMMA_PAIRS", pairs)
+    harness._check_lemma_pairs(ets, params.history_depth)
+    monkeypatch.setattr(harness, "MAX_LEMMA_PAIRS", pairs - 1)
+    with pytest.raises(GenParamsError, match=f"makes {pairs} pairs for the lemma suite"):
+        harness._check_lemma_pairs(ets, params.history_depth)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])

@@ -175,8 +175,10 @@ def _check(formula_text):
     # past MAX_LEMMA_PAIRS: refused after the soundness suite, before the
     # lemma suite lists any level
     (lambda tmp_path: ["fuzz", "--agents", "4", "--systems", "1", "--instances", "1"],
-     "a generated system has 31989 histories of length at most 3 and 15 nonempty "
-     f"coalitions, more than {MAX_LEMMA_PAIRS} pairs for the lemma suite"),
+     "a generated system makes 484187 pairs for the lemma suite, more than "
+     f"{MAX_LEMMA_PAIRS}: 31989 histories of length at most 3 times 15 nonempty "
+     "coalitions, plus 16 coalitions times (4 states squared + 16 complete "
+     "profiles squared)"),
 ], ids=["check-syntax", "check-agent", "prove-format", "prove-opaque", "fuzz-systems",
         "fuzz-depth", "fuzz-agents", "fuzz-lemma-pairs"])
 def test_a_fresh_process_reports_usage_errors_with_exit_2(tmp_path, argv, message):
