@@ -22,8 +22,8 @@ from .system import (
     load_system, parse_history, profile_agrees, state_indist,
 )
 from .checker import (
-    HorizonError, RegularityError, UndeclaredAgentError, Verdict, evaluate,
-    evaluate_naive, witness,
+    HorizonError, RegularityError, TypeBudgetError, UndeclaredAgentError,
+    Verdict, evaluate, evaluate_naive, witness,
 )
 from .fixtures import load_fixture, run_claims
 
@@ -74,7 +74,8 @@ __all__ = [
     "EpistemicTransitionSystem", "Falsum", "Formula", "FormulaSyntaxError",
     "GenParams", "History", "HorizonError", "How", "Implies",
     "InvalidHistoryError", "Know", "ModelFormatError", "NestingError", "Not",
-    "Profile", "ProofFormatError", "RegularityError", "UndeclaredAgentError",
+    "Profile", "ProofFormatError", "RegularityError", "TypeBudgetError",
+    "UndeclaredAgentError",
     "Verdict",
     "VerifyResult", "check_regular",
     "derive_k_superdistributivity_instance",

@@ -9,7 +9,10 @@ classes can tell a formula folds step by step along the history, as in van
 der Meyden's k-trees.  The ``f``-type of a history is its head together
 with, for each nonempty-coalition node ``M{C} x`` that ``f`` reaches through
 ``!`` and ``->`` only, the ``x``-types of the histories C cannot tell from
-it (see ``_Types``).  ``K{C} x`` holds when ``x`` holds at every member
+it (see ``_Types``).  They are a sorted set, as a coalition's knowledge is a
+set of histories, unless ``x`` reaches a ``K{}``/``H{}``; then they keep the
+level order of their first history, since the order members are decided in
+picks the walks that run.  ``K{C} x`` holds when ``x`` holds at every member
 type.  One strategy search decides ``H{C} x``: it groups the members'
 successor types by the coalition's votes and looks for a profile whose
 group forces ``x``.  For a top-level ``H{C}`` that profile is the verdict's
@@ -17,17 +20,18 @@ group forces ``x``.  For a top-level ``H{C}`` that profile is the verdict's
 ``H{C}`` goal.  ``evaluate_naive`` is a deliberately independent,
 unmemoized transcription of the relation used as an oracle: it enumerates
 histories and filters with ``hist_indist``, and never touches the types
-(nor does the harness's history signature).  Both meet histories, and
-profiles, in the same order; they must agree everywhere, witness included.
+(nor does the harness's history signature).  Both meet profiles, the
+levels of a walk, and the members of a node whose body walks in the same
+order; they must agree everywhere, ``bounded`` and witness included.
 
 Types step along indexed moves.  A move of state ``w`` is an index into
-``ets.successors(w)``, and ``_Types.step(t, i)`` is memoized on the pair of
-ints.  Once per system and coalition, a ``_View`` numbers what C sees of
-each move (its votes by C and C's look of its target) and groups each
-state's moves by that number, in successor order; so a step visits only the
-members' moves in the group of its own move, and compares no profiles.  A
-view reads only the system, so every evaluation on that system shares it
-(``ets._views``).
+``ets.successors(w)``, and ``_Types.step(t, i)`` is memoized in one row per
+type.  Once per system and coalition, a ``_View`` numbers what C sees of
+each move (the position of its votes by C among C's profiles, and C's look
+of its target) and groups each state's moves by that number, in successor
+order; so a step visits only the members' moves in the group of its own
+move, and compares no profiles.  A view reads only the system, so every
+evaluation on that system shares it (``ets._views``).
 
 Empty-coalition modalities quantify over histories of every length, so both
 implementations cap the enumeration at a caller supplied horizon.
@@ -52,7 +56,10 @@ meaning.  Refutations are exact.  Formulas built in code past
 ``MAX_NESTING`` raise ``NestingError`` up front, and a formula that names an
 agent the system does not declare raises ``UndeclaredAgentError``; both
 evaluators read these, and the horizon floor, from one fold of the formula
-(``formula.measures``).
+(``formula.measures``).  Sets alone do not bound the types: their member
+entries grow about fourfold for every two levels of a ``K{C}``/``H{D}``
+chain, so ``evaluate`` raises ``TypeBudgetError`` once one evaluation's
+types hold more than ``MAX_TYPE_ENTRIES``.  The oracle has no budget.
 """
 from __future__ import annotations
 
@@ -76,6 +83,16 @@ class RegularityError(InputError):
 
 class UndeclaredAgentError(InputError):
     """The formula names an agent that the system does not declare."""
+
+
+class TypeBudgetError(InputError):
+    """An evaluation's knowledge types outgrew ``MAX_TYPE_ENTRIES``."""
+
+
+#: Most member entries the knowledge types of one ``evaluate`` call may hold
+#: in all.  Perfect-recall model checking is non-elementary in the nesting
+#: of knowledge, so deep chains of ``K{C}``/``H{C}`` must stop somewhere.
+MAX_TYPE_ENTRIES = 1_000_000
 
 
 class Verdict(_Record):
@@ -137,22 +154,23 @@ class _View:
     """What coalition C sees of each move, built once per system.
 
     A move of state ``w`` is an index into ``ets.successors(w)``.
-    ``look[w]`` holds C's blocks of ``w``: two states are alike to C iff
-    their looks are equal.  ``sees[w][i]`` numbers what C sees of move
-    ``i``, its votes by C and the look of its target, so two moves are
-    alike to C iff their numbers are equal; ``alike[w]`` maps each number
-    to the moves of ``w`` that carry it, in successor order.
-    ``picks[w][i]`` is the position of move ``i``'s votes in ``profiles``,
-    which is ``profiles_over(C)``.
+    ``look[w]`` holds C's blocks of ``w``, read from ``ets._block``: two
+    states are alike to C iff their looks are equal.  ``picks[w][i]`` is the
+    position in ``profiles``, which is ``profiles_over(C)``, of move ``i``'s
+    votes by C; each complete profile's pick is found once.  ``sees[w][i]``
+    numbers the pair of that pick and the look of the move's target, so two
+    moves are alike to C iff their numbers are equal; ``alike[w]`` maps each
+    number to the moves of ``w`` that carry it, in successor order.
     """
 
     def __init__(self, ets: EpistemicTransitionSystem, states: list[str],
                  coalition: Coalition):
-        members = sorted(coalition)
-        self.look = {w: tuple(ets.block(a, w) for a in members) for w in states}
+        blocks = [ets._block[a] for a in sorted(coalition)]
+        self.look = {w: tuple(block[w] for block in blocks) for w in states}
         self.profiles = ets.profiles_over(coalition)
         position = {s.votes: p for p, s in enumerate(self.profiles)}
-        votes = ets.votes_of(coalition)
+        pick = {s: position[tuple(v for v in s.votes if v[0] in coalition)]
+                for s in ets.complete_profiles}
         numbers: dict[tuple, int] = {}
         self.sees: dict[str, list[int]] = {}
         self.alike: dict[str, dict[int, list[int]]] = {}
@@ -161,11 +179,11 @@ class _View:
             sees, alike, picks = [], {}, []
             self.sees[w], self.alike[w], self.picks[w] = sees, alike, picks
             for i, (s, v) in enumerate(ets.successors(w)):
-                vote = votes[s]
-                seen = numbers.setdefault((vote, self.look[v]), len(numbers))
+                p = pick[s]
+                seen = numbers.setdefault((p, self.look[v]), len(numbers))
                 sees.append(seen)
                 alike.setdefault(seen, []).append(i)
-                picks.append(position[vote])
+                picks.append(p)
 
 
 class _Types:
@@ -173,10 +191,22 @@ class _Types:
 
     ``types[t]`` is ``(head, members)``.  An ``f``-type's ``members`` maps
     each node ``M{C} x`` of ``nodes(f)`` to the distinct ``x``-types of the
-    histories C cannot tell apart from the typed one, in the level order of
-    their first history.  So a type names its own nodes, and every
-    subformula that ``f`` reaches through ``!`` and ``->`` is decided on it.
-    A history steps along a move, an index into its head's successors.
+    histories C cannot tell apart from the typed one.  So a type names its
+    own nodes, and every subformula that ``f`` reaches through ``!`` and
+    ``->`` is decided on it.  A history steps along a move, an index into
+    its head's successors, and ``steps[t][i]`` keeps the type that move ``i``
+    leads to, or None until it is asked for.
+
+    What a coalition knows under perfect recall is a set of histories, so
+    members are a sorted set, and two histories with the same member sets
+    share a type.  The exception is a node whose ``x`` reaches a
+    ``K{}``/``H{}``: deciding it runs walks, which ``all`` cuts short, so
+    which walks run, and with them ``bounded``, follows the order members
+    are decided in.  Such a node keeps its members in the level order of
+    their first history, the order ``evaluate_naive`` meets them in.
+
+    Each new type adds its member entries to ``entries``; past
+    ``MAX_TYPE_ENTRIES`` the evaluation raises ``TypeBudgetError``.
     """
 
     def __init__(self, ets: EpistemicTransitionSystem):
@@ -185,15 +215,24 @@ class _Types:
         self.types: list[tuple[str, dict[Formula, tuple[int, ...]]]] = []
         self.ids: dict[tuple, int] = {}
         self.modal: dict[Formula, dict[Formula, None]] = {}
+        self.as_set: dict[Formula, bool] = {}
         self.roots: dict[tuple[Formula, str], int] = {}
-        self.steps: dict[tuple[int, int], int] = {}
+        self.steps: list[list[int | None]] = []
+        self.entries = 0
 
     def intern(self, head: str, members: dict[Formula, tuple[int, ...]]) -> int:
         key = (head, tuple(members.items()))
-        if key not in self.ids:
-            self.ids[key] = len(self.types)
+        t = self.ids.get(key)
+        if t is None:
+            self.entries += sum(map(len, members.values()))
+            if self.entries > MAX_TYPE_ENTRIES:
+                raise TypeBudgetError(
+                    f"formula needs more than {MAX_TYPE_ENTRIES} knowledge-type "
+                    f"entries; nest fewer K/H modalities")
+            t = self.ids[key] = len(self.types)
             self.types.append((head, members))
-        return self.ids[key]
+            self.steps.append([None] * len(self.ets.successors(head)))
+        return t
 
     def nodes(self, f: Formula) -> dict[Formula, None]:
         """The nonempty-coalition ``K``/``H`` nodes that ``f`` reaches
@@ -209,6 +248,7 @@ class _Types:
                         stack += _operands(g)
                     elif g.coalition:
                         found[g] = None
+                        self.as_set[g] = not measures(g.sub).uses_empty_coalition
         return self.modal[f]
 
     def view(self, coalition: Coalition) -> _View:
@@ -224,8 +264,9 @@ class _Types:
             members = {}
             for node in self.nodes(f):
                 look = self.view(node.coalition).look
-                members[node] = tuple(dict.fromkeys(
-                    self.root(node.sub, v) for v in self.states if look[v] == look[w]))
+                found = dict.fromkeys(
+                    self.root(node.sub, v) for v in self.states if look[v] == look[w])
+                members[node] = tuple(sorted(found) if self.as_set[node] else found)
             self.roots[(f, w)] = self.intern(w, members)
         return self.roots[(f, w)]
 
@@ -237,7 +278,8 @@ class _Types:
         the extension are the members' histories extended by the moves that
         C sees as it sees move ``i``.
         """
-        u = self.steps.get((t, i))
+        row = self.steps[t]
+        u = row[i]
         if u is None:
             types = self.types
             head, old_members = types[t]
@@ -249,8 +291,8 @@ class _Types:
                 for m in old:
                     for j in alike[types[m][0]].get(seen, ()):
                         found[self.step(m, j)] = None
-                members[node] = tuple(found)
-            u = self.steps[(t, i)] = self.intern(self.ets.successors(head)[i][1], members)
+                members[node] = tuple(sorted(found) if self.as_set[node] else found)
+            u = row[i] = self.intern(self.ets.successors(head)[i][1], members)
         return u
 
     def of(self, f: Formula, h: History) -> int:
@@ -347,7 +389,7 @@ class _Evaluator:
             if n:
                 prev, level = level, {}
                 for t, path in prev.items():
-                    for i in range(len(self.ets.successors(types.types[t][0]))):
+                    for i in range(len(types.steps[t])):
                         u = types.step(t, i)
                         if u not in level:
                             level[u] = (path, i)

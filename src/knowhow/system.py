@@ -311,15 +311,6 @@ class EpistemicTransitionSystem:
             Profile(tuple(zip(members, combo)))
             for combo in itertools.product(choices, repeat=len(members)))
 
-    def votes_of(self, coalition: Coalition) -> dict[Profile, tuple[tuple[str, str], ...]]:
-        """Each complete profile's votes by the coalition's members.
-
-        The votes of ``s`` are its ``(agent, choice)`` pairs for the members,
-        so they equal those of exactly one profile of ``profiles_over``.
-        """
-        return {s: tuple(vote for vote in s.votes if vote[0] in coalition)
-                for s in self._complete_profiles}
-
     def successors(self, state: str) -> tuple[tuple[Profile, str], ...]:
         return self._succ[state]
 

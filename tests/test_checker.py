@@ -7,11 +7,11 @@ import pytest
 
 from knowhow import checker
 from knowhow.checker import (
-    HorizonError, RegularityError, UndeclaredAgentError, Verdict, evaluate,
-    evaluate_naive, witness,
+    HorizonError, RegularityError, TypeBudgetError, UndeclaredAgentError,
+    Verdict, evaluate, evaluate_naive, witness,
 )
 from knowhow.formula import (
-    MAX_NESTING, Atom, How, Implies, NestingError, Not, h_depth, parse,
+    MAX_NESTING, Atom, How, Implies, Know, NestingError, Not, h_depth, parse,
     uses_empty_coalition,
 )
 from knowhow.harness import GenParams, gen_formula, gen_system
@@ -371,6 +371,131 @@ def test_memoized_and_naive_agree_on_whole_verdicts_with_empty_coalitions():
     assert counterexamples > 0
 
 
+# A walk E behind a guard: whether a K{C}/H{C} runs E depends on which
+# member it decides first, so these goals pin the members' order wherever
+# a body reaches a K{}/H{}.  Sorting those members too makes ``bounded``
+# disagree with the oracle on 22 of these 1200 goals.
+GUARDED_WALKS = ("K{C} !(q -> !E)", "H{C} !(q -> !E)", "K{C} K{D} !(q -> !E)",
+                 "H{C} (K{D} q -> E)")
+WALKS = ("K{} p", "K{} (p -> p)", "H{} !false", "H{} p")
+
+
+def _guarded_walk_cases():
+    """1200 guarded-walk goals over 2-4-state systems, anchored at length
+    0-2, at the horizon floor plus a drawn 0/1."""
+    rng = random.Random(24)
+    coalitions = ("a0", "a1", "a0,a1")
+    for seed in range(60):
+        ets = gen_system(GenParams(seed=seed, num_states=2 + seed % 3,
+                                   branching=1.0 + 0.2 * (seed % 2)))
+        for _ in range(20):
+            text = rng.choice(GUARDED_WALKS).replace("E", rng.choice(WALKS))
+            f = parse(text.replace("C", rng.choice(coalitions))
+                      .replace("D", rng.choice(coalitions)))
+            h = rng.choice(histories_of_length(ets, rng.randint(0, 2)))
+            yield ets, h, f, h.length + h_depth(f) + rng.randint(0, 1)
+
+
+def test_guarded_walks_agree_with_the_oracle_on_whole_verdicts():
+    outcomes = set()
+    for ets, h, f, horizon in _guarded_walk_cases():
+        verdict = evaluate(ets, h, f, horizon)
+        assert verdict == evaluate_naive(ets, h, f, horizon), (str(f), str(h), horizon)
+        outcomes.add((verdict.value, verdict.bounded, verdict.strategy is not None))
+    assert {value for value, _, _ in outcomes} == {True, False}
+    assert {bounded for _, bounded, _ in outcomes} == {True, False}
+    assert (True, True, True) in outcomes
+
+
+def _random_deep_cases():
+    """About 300 random depth 4-6 formulas, empty coalitions allowed, over
+    3-state systems with branching 1.0.
+
+    The naive oracle re-walks an inner ``K{}``/``H{}`` for every history of
+    an outer one, and with two agents a level is four times the last, so a
+    formula with an empty coalition has its floor at most 4 with one agent
+    and at most 2 with two.
+    """
+    rng = random.Random(6)
+    for i in range(320):
+        agents = 1 + i % 2
+        params = GenParams(seed=i // 2, num_states=3, num_agents=agents,
+                           branching=1.0, formula_depth=4 + i % 3)
+        ets = gen_system(params)
+        f = gen_formula(params, tuple(sorted(ets.valuation)),
+                        tuple(sorted(ets.agents)), allow_empty_coalition=True,
+                        salt=i)
+        if not uses_empty_coalition(f):
+            yield ets, rng.choice(histories_of_length(ets, rng.randint(0, 2))), f, None
+            continue
+        top = 6 - 2 * agents
+        if h_depth(f) <= top:
+            h = rng.choice(histories_of_length(ets, rng.randint(0, min(2, top - h_depth(f)))))
+            yield ets, h, f, h.length + h_depth(f)
+
+
+def test_random_deep_formulas_agree_with_the_oracle_on_whole_verdicts():
+    outcomes, walked = set(), 0
+    for ets, h, f, horizon in _random_deep_cases():
+        verdict = evaluate(ets, h, f, horizon)
+        assert verdict == evaluate_naive(ets, h, f, horizon), (str(f), str(h), horizon)
+        outcomes.add((verdict.value, verdict.bounded))
+        walked += horizon is not None
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+    assert walked > 50
+
+
+def _alternating_chain(n: int):
+    """``... K{a0} H{a1} p``, ``n`` modalities deep, ``H{a1}`` innermost."""
+    f = Atom("p")
+    for k in range(n):
+        f = (How if k % 2 == 0 else Know)(frozenset({f"a{1 - k % 2}"}), f)
+    return f
+
+
+def _keeping_types(monkeypatch):
+    built = []
+    init = checker._Types.__init__
+
+    def keeping(self, ets):
+        built.append(self)
+        init(self, ets)
+
+    monkeypatch.setattr(checker._Types, "__init__", keeping)
+    return built
+
+
+def test_a_deep_chain_decides_on_set_types(monkeypatch):
+    # members kept in first-seen order split this chain into 25,134 types
+    ets = gen_system(GenParams(seed=3, num_states=4, branching=2.0))
+    h = histories_of_length(ets, 3)[0]
+    built = _keeping_types(monkeypatch)
+    start = time.perf_counter()
+    verdict = evaluate(ets, h, _alternating_chain(12))
+    assert time.perf_counter() - start < 3.0
+    assert verdict == Verdict(False)
+    assert len(built[-1].types) < 10_000
+    assert built[-1].entries <= checker.MAX_TYPE_ENTRIES
+
+
+def test_the_type_budget_counts_member_entries_and_spares_the_oracle(
+        monkeypatch):
+    ets = gen_system(GenParams(seed=3, num_states=4, branching=2.0))
+    h = histories_of_length(ets, 2)[5]
+    f = _alternating_chain(4)
+    built = _keeping_types(monkeypatch)
+    verdict = evaluate(ets, h, f)
+    entries = built[-1].entries
+    assert entries == sum(len(m) for _, members in built[-1].types
+                          for m in members.values()) > 0
+    monkeypatch.setattr(checker, "MAX_TYPE_ENTRIES", entries)
+    assert evaluate(ets, h, f) == verdict
+    monkeypatch.setattr(checker, "MAX_TYPE_ENTRIES", entries - 1)
+    with pytest.raises(TypeBudgetError, match=f"more than {entries - 1} "):
+        evaluate(ets, h, f)
+    assert evaluate_naive(ets, h, f) == verdict
+
+
 # agent a cannot tell the states apart, so K{a} p holds at a history iff
 # every history of its length ends in w2: false up to length 1, true from 2
 COUNTDOWN = """
@@ -517,6 +642,6 @@ def test_a_closed_walk_steps_as_often_at_any_horizon(t1, monkeypatch):
         calls.append(0)
         verdict = evaluate(t1, h, f, horizon)
         assert (verdict.value, verdict.bounded) == (True, True)
-        misses.append(len(built[-1].types.steps))
+        misses.append(sum(u is not None for row in built[-1].types.steps for u in row))
     assert misses[0] == misses[1] > 0
     assert calls[0] == calls[1]

@@ -1,11 +1,12 @@
 """Knowledge types, which stand in for indistinguishability classes.
 
 The member types a formula's type holds for ``M{C} x`` must be exactly the
-``x``-types of the histories that pairwise ``hist_indist`` relates, in level
-order; evaluation at any anchor must build no history level above 0; each
-(subformula, type) must be decided once per evaluation; and the types must
-stay out of the oracles: the naive evaluator and the lemma suite's relation
-checks run with the type table disabled.
+``x``-types of the histories that pairwise ``hist_indist`` relates, sorted,
+or in level order when ``x`` reaches a ``K{}``/``H{}``; evaluation at any
+anchor must build no history level above 0; each (subformula, type) must be
+decided once per evaluation; and the types must stay out of the oracles: the
+naive evaluator and the lemma suite's relation checks run with the type
+table disabled.
 """
 import random
 
@@ -13,7 +14,7 @@ import pytest
 
 from knowhow import checker, harness
 from knowhow.checker import evaluate, evaluate_naive
-from knowhow.formula import Atom, How, Know, parse
+from knowhow.formula import Atom, How, Implies, Know, parse
 from knowhow.harness import (
     GenParams, LemmaReport, _check_history_relation, _coalitions, gen_formula,
     gen_system, lemma_suite,
@@ -35,19 +36,24 @@ EXACT_SYSTEMS = [
          for p in EXACT_SYSTEMS])
 def test_index_partition_equals_pairwise_hist_indist(params):
     # the type table indexes each class by its members' types: for K{C} x
-    # they must be the x-types of the pairwise class, in level order
+    # they must be the x-types of the pairwise class, as a sorted set, or in
+    # level order when x reaches a K{}
     ets = gen_system(params)
     types = checker._Types(ets)
     agents = frozenset(ets.agents)
     for coalition in _coalitions(ets.agents, include_empty=False):
-        x = Know(agents - coalition or agents, Atom("p"))
-        f = Know(coalition, x)
-        for n in range(4):
-            level = histories_of_length(ets, n)
-            for h in level:
-                brute = dict.fromkeys(types.of(x, g) for g in level
-                                      if hist_indist(ets, h, g, coalition))
-                assert types.types[types.of(f, h)][1][f] == tuple(brute)
+        other = agents - coalition or agents
+        for walks in (False, True):
+            body = Implies(Atom("q"), Know(frozenset(), Atom("p"))) if walks else Atom("p")
+            x = Know(other, body)
+            f = Know(coalition, x)
+            for n in range(4):
+                level = histories_of_length(ets, n)
+                for h in level:
+                    brute = dict.fromkeys(types.of(x, g) for g in level
+                                          if hist_indist(ets, h, g, coalition))
+                    expected = tuple(brute) if walks else tuple(sorted(brute))
+                    assert types.types[types.of(f, h)][1][f] == expected
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,23 @@ def test_check_rejects_a_formula_nested_past_the_limit(t1_path, capsys):
                  "--formula", "!" * 5000 + "p"])
     assert code == 2
     assert f"deeper than {MAX_NESTING} levels" in capsys.readouterr().err
+
+
+# a 4-state model (gen_system seed 3, branching 2.0) whose knowledge types
+# grow about fourfold every two modalities of an alternating chain
+CHAIN4 = str(Path(__file__).parent / "data" / "chain4.ets")
+CHAIN4_ANCHOR = " ; ".join(["s0"] + ["a0=0,a1=0", "s0"] * 3)
+
+
+def test_check_past_the_type_budget_is_a_usage_error(capsys):
+    start = time.perf_counter()
+    code = main(["check", "--system", CHAIN4, "--history", CHAIN4_ANCHOR,
+                 "--formula", "K{a0} H{a1} " * 7 + "p"])
+    assert time.perf_counter() - start < 5.0
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == (f"error: formula needs more than {checker.MAX_TYPE_ENTRIES} "
+                   f"knowledge-type entries; nest fewer K/H modalities\n")
 
 
 def test_missing_file_is_reported(capsys):

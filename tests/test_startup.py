@@ -29,8 +29,9 @@ HOMES = {
              "ModelFormatError", "Profile", "check_regular", "extensions",
              "hist_indist", "histories_of_length", "load_system", "parse_history",
              "profile_agrees", "state_indist"),
-    checker: ("HorizonError", "RegularityError", "UndeclaredAgentError",
-              "Verdict", "evaluate", "evaluate_naive", "witness"),
+    checker: ("HorizonError", "RegularityError", "TypeBudgetError",
+              "UndeclaredAgentError", "Verdict", "evaluate", "evaluate_naive",
+              "witness"),
     proofkit: ("AxiomName", "Derivation", "ProofFormatError", "VerifyResult",
                "derive_k_superdistributivity_instance",
                "derive_superdistributivity_instance", "is_tautology",
@@ -44,7 +45,7 @@ HOMES = {
 def test_every_public_name_is_its_home_modules_object():
     homes = {name: module for module, names in HOMES.items() for name in names}
     assert sorted(homes) == sorted(knowhow.__all__)
-    assert len(knowhow.__all__) == 51
+    assert len(knowhow.__all__) == 52
     for name, module in homes.items():
         assert getattr(knowhow, name) is getattr(module, name), name
 
@@ -136,7 +137,7 @@ def test_every_exception_the_package_defines_is_an_input_error():
         "FormulaSyntaxError", "GenParamsError", "HorizonError", "InputError",
         "InvalidHistoryError", "ModelFormatError", "NestingError",
         "OpaqueLimitError", "ProofFormatError", "RegularityError",
-        "UndeclaredAgentError"]
+        "TypeBudgetError", "UndeclaredAgentError"]
     assert all(issubclass(c, formula.InputError) for c in defined)
     assert issubclass(formula.InputError, ValueError)
 
