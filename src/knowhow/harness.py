@@ -213,7 +213,7 @@ def _gen_formula(rng, depth, props, agents, allow_empty) -> Formula:
 
 def instantiate_axiom(schema: AxiomName, rng: random.Random,
                       props: tuple[str, ...], agents: tuple[str, ...],
-                      depth: int, allow_empty: bool = True) -> Formula:
+                      depth: int) -> Formula:
     """Random instance of the schema, side conditions guaranteed."""
 
     def sub() -> Formula:
@@ -221,8 +221,7 @@ def instantiate_axiom(schema: AxiomName, rng: random.Random,
 
     def coalition(nonempty=False) -> Coalition:
         return gen_coalition(rng, agents,
-                             allow_empty=allow_empty and not nonempty
-                             and rng.random() < 0.2)
+                             allow_empty=not nonempty and rng.random() < 0.2)
 
     x, y = sub(), sub()
     if schema is AxiomName.TRUTH:
@@ -396,7 +395,6 @@ class LemmaReport:
     systems: int = 0
     relation_checks: int = 0
     property_checks: int = 0
-    bounded_count: int = 0
     failures: list[str] = field(default_factory=list)
 
     def to_lines(self) -> list[str]:

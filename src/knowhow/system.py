@@ -7,8 +7,7 @@ valuation of proposition tokens.  Histories are mechanism-consistent
 alternating sequences of states and complete profiles; all queries here are
 pure, and no value changes once built.
 
-A ``History`` keeps its states and profiles as plain tuples and a hash
-folded step by step, so :meth:`History.extend` costs O(1) hashing.
+A ``History`` keeps its states and profiles as plain tuples.
 :func:`histories_of_length` builds whole levels, once per system, and
 :func:`parse_history` walks down from a level-0 root.  The relations
 ``state_indist``, ``profile_agrees`` and ``hist_indist`` are the plain
@@ -22,7 +21,7 @@ import itertools
 import re
 from collections.abc import Container, Iterable, Mapping
 
-from .formula import Coalition, IDENT_RE, InputError, _cached_hash, _Frozen
+from .formula import Coalition, IDENT_RE, InputError, _cached_hash, _Frozen, _Record
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
 TRANS_RE = re.compile(r"trans\s+(\S+)\s+\[([^\]]*)\]\s+(\S+)")
@@ -137,17 +136,15 @@ def profile_agrees(s1: Profile, s2: Profile, coalition: Coalition) -> bool:
     return True
 
 
-class History:
+class History(_Record):
     """States ``w_0..w_n`` interleaved with the profiles ``s_1..s_n`` that produced them.
 
-    ``extend`` folds the child's hash from this history's hash, so a new
-    history costs O(1) hashing; ``History(states, profiles)`` folds the same
-    hash step by step, so the two equal and hash alike.  The ``states`` and
-    ``profiles`` tuples are plain attributes, which the oracles read
-    directly.  Histories are never changed after they are built.
+    An immutable value: two histories are equal, and hash alike, when their
+    ``states`` and ``profiles`` tuples are equal.  The oracles read those
+    tuples directly.
     """
 
-    __slots__ = ("states", "profiles", "_h")
+    __slots__ = ("states", "profiles")
 
     def __init__(self, states: tuple[str, ...], profiles: tuple[Profile, ...]):
         states, profiles = tuple(states), tuple(profiles)
@@ -155,12 +152,8 @@ class History:
             raise InvalidHistoryError(
                 f"history needs n+1 states for n profiles, got "
                 f"{len(states)} states and {len(profiles)} profiles")
-        h = hash((states[0],))
-        for profile, state in zip(profiles, states[1:]):
-            h = hash((h, hash(profile), state))
-        self.states = states
-        self.profiles = profiles
-        self._h = h
+        _set_states(self, states)
+        _set_profiles(self, profiles)
 
     @property
     def head(self) -> str:
@@ -172,24 +165,9 @@ class History:
 
     def extend(self, profile: Profile, state: str) -> "History":
         child = object.__new__(History)
-        child.states = self.states + (state,)
-        child.profiles = self.profiles + (profile,)
-        child._h = hash((self._h, profile._h, state))
+        _set_states(child, self.states + (state,))
+        _set_profiles(child, self.profiles + (profile,))
         return child
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, History):
-            return NotImplemented
-        return (self._h == other._h and self.states == other.states
-                and self.profiles == other.profiles)
-
-    def __repr__(self) -> str:
-        return f"History(states={self.states!r}, profiles={self.profiles!r})"
 
     def __str__(self) -> str:
         parts = [self.states[0]]
@@ -197,6 +175,9 @@ class History:
             parts.append(str(profile))
             parts.append(state)
         return " ; ".join(parts)
+
+
+_set_states, _set_profiles = History.states.__set__, History.profiles.__set__
 
 
 class EpistemicTransitionSystem:
@@ -313,11 +294,6 @@ class EpistemicTransitionSystem:
 
     def successors(self, state: str) -> tuple[tuple[Profile, str], ...]:
         return self._succ[state]
-
-    def block(self, agent: str, state: str) -> int:
-        if state not in self.states:
-            raise KeyError(state)
-        return self._block[agent][state]
 
     def holds(self, prop: str, state: str) -> bool:
         return state in self.valuation.get(prop, frozenset())

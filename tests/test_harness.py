@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from knowhow.formula import Atom, Falsum, h_depth, parse, uses_empty_coalition
 from knowhow.harness import (
     GenParams, GenParamsError, LemmaReport, check_instance,
     gen_formula, gen_system, instantiate_axiom, lemma_suite, soundness_suite,
-    _check_history_relation, _coalitions, _rng,
+    _coalitions, _rng,
 )
 from knowhow.proofkit import AxiomName, match_axiom
 from knowhow.system import (
@@ -219,25 +218,6 @@ def test_three_agent_lemma_report_is_pinned(seed, relation_checks,
     assert report.property_checks == property_checks
     text = json.dumps(report.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_history_signatures_read_no_block_through_the_validating_lookup(monkeypatch):
-    # each member's block table is unfolded once per level from ets.indist,
-    # not looked up through ets.block once per state and member
-    params = GenParams(seed=4)
-    ets = gen_system(params)
-
-    def block(self, agent, state):
-        raise AssertionError("ets.block called")
-
-    monkeypatch.setattr(EpistemicTransitionSystem, "block", block)
-    report = LemmaReport(params)
-    rng = random.Random(0)
-    for coalition in _coalitions(ets.agents, include_empty=False):
-        for n in range(params.history_depth + 1):
-            _check_history_relation(ets, coalition, n, rng, report, "signature", {})
-    assert report.relation_checks > 0
-    assert report.failures == []
 
 
 def _relation_without(part):
@@ -534,8 +514,7 @@ def test_axiom_instances_hold_on_t2(t2):
     agents = tuple(sorted(t2.agents))
     for schema in (AxiomName.PERFECT_RECALL, AxiomName.COOPERATION):
         for _ in range(6):
-            inst = instantiate_axiom(schema, rng, ("p",), agents, depth=1,
-                                     allow_empty=False)
+            inst = instantiate_axiom(schema, rng, ("p",), agents, depth=1)
             for h in pool[:10]:
                 horizon = (h.length + h_depth(inst)
                            if uses_empty_coalition(inst) else None)

@@ -1,15 +1,20 @@
 """Value semantics of the immutable classes on the check path: formula
-nodes, ``Profile``, ``Verdict``, ``Claim`` and ``Measures``.
+nodes, ``Profile``, ``History``, ``Verdict``, ``Claim`` and ``Measures``.
 
 They are plain ``__slots__`` classes, so these tests pin what the frozen
 dataclasses they replaced gave: structural equality within a class,
 hashing, ``Profile``'s ordering, the exact ``repr`` and refused assignment.
 """
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knowhow
 from knowhow.checker import Verdict
 from knowhow.fixtures import Claim
 from knowhow.formula import (
@@ -26,7 +31,7 @@ NODES = [Falsum(), p, Not(p), Implies(p, q), Know(a, p), How(a, p)]
 
 def _values():
     h = History(("w0", "w1"), (Profile.of({"a": "1"}),))
-    return [*NODES, Profile.of({"a": "0"}), Verdict(False, True, 4, h),
+    return [*NODES, Profile.of({"a": "0"}), h, Verdict(False, True, 4, h),
             Claim("label", (("w0", "p", True),))]
 
 
@@ -110,6 +115,39 @@ def test_copies_are_rebuilt_equal(value):
                  pickle.loads(pickle.dumps(value))):
         assert twin == value and hash(twin) == hash(value)
         assert type(twin) is type(value)
+
+
+# one interpreter pickles under one str hash salt, another loads under a
+# different one: a history must equal, and hash as, the one built there
+ACROSS_SALTS = """
+import pickle, sys
+from knowhow.checker import Verdict
+from knowhow.fixtures import load_fixture
+from knowhow.system import parse_history
+
+h = parse_history(load_fixture("t1"), "w0 ; a=1 ; w1 ; a=0 ; w2")
+values = (h, Verdict(False, True, 2, h))
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(values))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    assert len(loaded) == len(values)
+    for old, new in zip(loaded, values):
+        assert old == new and hash(old) == hash(new) and old in {new}, old
+    print("equal")
+"""
+
+
+def test_pickles_load_equal_under_another_string_hash_salt():
+    env = {**os.environ, "PYTHONPATH": str(Path(knowhow.__file__).resolve().parents[1])}
+    dumped = subprocess.run([sys.executable, "-c", ACROSS_SALTS, "dump"],
+                            capture_output=True, check=True, timeout=60,
+                            env={**env, "PYTHONHASHSEED": "1"}).stdout
+    loaded = subprocess.run([sys.executable, "-c", ACROSS_SALTS, "load"],
+                            input=dumped, capture_output=True, timeout=60,
+                            env={**env, "PYTHONHASHSEED": "2"})
+    assert loaded.returncode == 0, loaded.stderr.decode()
+    assert loaded.stdout == b"equal\n"
 
 
 def test_measures_is_a_named_tuple_with_replace():
