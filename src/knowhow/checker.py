@@ -157,33 +157,36 @@ class _View:
     ``look[w]`` holds C's blocks of ``w``, read from ``ets._block``: two
     states are alike to C iff their looks are equal.  ``picks[w][i]`` is the
     position in ``profiles``, which is ``profiles_over(C)``, of move ``i``'s
-    votes by C; each complete profile's pick is found once.  ``sees[w][i]``
-    numbers the pair of that pick and the look of the move's target, so two
-    moves are alike to C iff their numbers are equal; ``alike[w]`` maps each
-    number to the moves of ``w`` that carry it, in successor order.
+    votes by C, read from a table keyed by each complete profile's votes, so
+    no profile is hashed or compared.  ``sees[w][i]`` numbers the pair of
+    that pick and the look of the move's target (the pick times the number
+    of looks, plus the look's number), so two moves are alike to C iff
+    their numbers are equal; ``alike[w]`` maps each number to the moves of
+    ``w`` that carry it, in successor order.
     """
 
     def __init__(self, ets: EpistemicTransitionSystem, states: list[str],
                  coalition: Coalition):
         blocks = [ets._block[a] for a in sorted(coalition)]
-        self.look = {w: tuple(block[w] for block in blocks) for w in states}
+        self.look = {w: tuple([block[w] for block in blocks]) for w in states}
+        looks: dict[tuple[int, ...], int] = {}  # each distinct look, numbered
+        look_no = {w: looks.setdefault(look, len(looks)) for w, look in self.look.items()}
         self.profiles = ets.profiles_over(coalition)
         position = {s.votes: p for p, s in enumerate(self.profiles)}
-        pick = {s: position[tuple(v for v in s.votes if v[0] in coalition)]
+        pick = {s.votes: position[tuple([v for v in s.votes if v[0] in coalition])]
                 for s in ets.complete_profiles}
-        numbers: dict[tuple, int] = {}
+        width = len(looks)
+        self.picks: dict[str, list[int]] = {}
         self.sees: dict[str, list[int]] = {}
         self.alike: dict[str, dict[int, list[int]]] = {}
-        self.picks: dict[str, list[int]] = {}
         for w in states:
-            sees, alike, picks = [], {}, []
-            self.sees[w], self.alike[w], self.picks[w] = sees, alike, picks
-            for i, (s, v) in enumerate(ets.successors(w)):
-                p = pick[s]
-                seen = numbers.setdefault((p, self.look[v]), len(numbers))
-                sees.append(seen)
+            moves = ets.successors(w)
+            picks = self.picks[w] = [pick[s.votes] for s, _ in moves]
+            sees = self.sees[w] = [p * width + look_no[v]
+                                   for p, (_, v) in zip(picks, moves)]
+            alike = self.alike[w] = {}
+            for i, seen in enumerate(sees):
                 alike.setdefault(seen, []).append(i)
-                picks.append(p)
 
 
 class _Types:

@@ -24,12 +24,19 @@ from .system import check_regular, load_system, parse_history
 
 
 def _read(path: str) -> str:
+    """The file's UTF-8 text, without one leading byte-order mark.
+
+    Line ends stay as they are: the model and proof readers split lines
+    with ``str.splitlines``, which takes CRLF and a lone CR as line ends.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         # the codec's message names a byte and a position, not the file
         raise InputError(f"{e} in {path}") from None
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _cmd_check(args) -> int:

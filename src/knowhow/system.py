@@ -237,15 +237,18 @@ class EpistemicTransitionSystem:
                     table[w] = idx
             self._block[agent] = table
 
-        # only a complete profile skips the checks below, and every other
-        # profile fails one of them
-        complete = set(self._complete_profiles)
-        triples = set()
+        # only a complete profile's votes skip the checks below, and every
+        # other profile fails one of them.  Moves are keyed by votes, whose
+        # hashing and comparison run in C; the first triple of a key is kept.
+        complete = {s.votes for s in self._complete_profiles}
+        states = self.states
+        moves: dict[tuple[str, tuple, str], Profile] = {}
         for w1, profile, w2 in mechanism:
-            if w1 not in self.states or w2 not in self.states:
-                bad = w1 if w1 not in self.states else w2
+            if w1 not in states or w2 not in states:
+                bad = w1 if w1 not in states else w2
                 raise ModelFormatError(f"transition names undeclared state {bad!r}")
-            if profile not in complete:
+            votes = profile.votes
+            if votes not in complete:
                 if profile.agents != self.agents:
                     raise ModelFormatError(
                         f"transition profile {profile} is not over the declared agents")
@@ -256,8 +259,9 @@ class EpistemicTransitionSystem:
                 raise ModelFormatError(
                     f"transition profile {profile} does not list its votes "
                     f"once per agent in agent order")
-            triples.add((w1, profile, w2))
-        self.mechanism: frozenset[tuple[str, Profile, str]] = frozenset(triples)
+            moves.setdefault((w1, votes, w2), profile)
+        self.mechanism: frozenset[tuple[str, Profile, str]] = frozenset(
+            [(w1, profile, w2) for (w1, _, w2), profile in moves.items()])
 
         self.valuation: dict[str, frozenset[str]] = {}
         for prop, where in valuation.items():
@@ -269,11 +273,13 @@ class EpistemicTransitionSystem:
                     f"{sorted(unknown)[0]!r}")
             self.valuation[prop] = where
 
-        by_state: dict[str, list[tuple[Profile, str]]] = {w: [] for w in self.states}
-        for w1, profile, w2 in triples:
-            by_state[w1].append((profile, w2))
+        # sorted (state, votes, target) keys list each state's moves as
+        # ``sorted`` lists its (profile, target) pairs, comparing no profile
+        by_state: dict[str, list[tuple[Profile, str]]] = {w: [] for w in states}
+        for key in sorted(moves):
+            by_state[key[0]].append((moves[key], key[2]))
         self._succ: dict[str, tuple[tuple[Profile, str], ...]] = {
-            w: tuple(sorted(out)) for w, out in by_state.items()}
+            w: tuple(out) for w, out in by_state.items()}
         self._levels: list[tuple[History, ...]] = []
         # the checker's view of each coalition's moves, built on first use
         self._views: dict[Coalition, object] = {}
@@ -309,10 +315,9 @@ def check_regular(ets: EpistemicTransitionSystem) -> list[tuple[str, Profile]]:
     """List the (state, complete profile) pairs with no successor; empty iff regular."""
     violations = []
     for w in sorted(ets.states):
-        with_succ = {profile for profile, _ in ets.successors(w)}
-        for profile in ets.complete_profiles:
-            if profile not in with_succ:
-                violations.append((w, profile))
+        with_succ = {profile.votes for profile, _ in ets.successors(w)}
+        violations += [(w, profile) for profile in ets.complete_profiles
+                       if profile.votes not in with_succ]
     return violations
 
 
@@ -400,13 +405,19 @@ def histories_of_length(ets: EpistemicTransitionSystem, n: int) -> tuple[History
 
 
 def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
-    """Parse a literal like ``w0 ; a=1,b=0 ; w4`` into a history of ``ets``."""
+    """Parse a literal like ``w0 ; a=1,b=0 ; w4`` into a history of ``ets``.
+
+    The whole literal is read before any step is checked.  The history then
+    starts at the level-0 history of its first state and steps along the
+    system's own moves, matched by votes and target; so it holds the
+    system's profile objects, and the first step that is no move raises.
+    """
     parts = [part.strip() for part in text.split(";")]
     if not parts or len(parts) % 2 == 0:
         raise InvalidHistoryError(
             "history literal must alternate states and profiles, ending in a state")
     states = []
-    profiles = []
+    steps = []  # each profile's sorted votes
     for idx, part in enumerate(parts):
         if idx % 2 == 0:
             if not TOKEN_RE.fullmatch(part):
@@ -421,11 +432,17 @@ def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
                 raise InvalidHistoryError(
                     f"profile misses agent {sorted(missing)[0]!r}; history "
                     f"literals need complete profiles")
-            profiles.append(Profile.of(votes))
+            steps.append(tuple(sorted(votes.items())))
     history = next(g for g in histories_of_length(ets, 0) if g.head == states[0])
-    for profile, w in zip(profiles, states[1:]):
-        history = history.extend(profile, w)
-    validate_history(ets, history)
+    for votes, w in zip(steps, states[1:]):
+        for move in ets.successors(history.head):
+            if move[1] == w and move[0].votes == votes:
+                history = history.extend(*move)
+                break
+        else:
+            raise InvalidHistoryError(
+                f"({history.head} ; {Profile(votes)} ; {w}) is not a mechanism "
+                f"transition")
     return history
 
 
@@ -463,24 +480,31 @@ def _expand_pattern(sys_agents: list[str], choices: list[str],
 def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransitionSystem:
     """Parse the line-oriented model format into a validated system.
 
-    Wildcard transition patterns (``trans w0 [a=1] w2`` leaves the other
-    agents unconstrained; ``[]`` matches every profile) expand into explicit
-    mechanism triples; pattern lines accumulate rather than override.  With
-    ``require_regular`` the loader raises if any state/profile pair lacks a
-    successor.
+    The ``agents``, ``choices`` and ``states`` declarations are read first,
+    wherever they stand.  Every other line is a ``trans``, ``indist`` or
+    ``valuation`` line, its keyword followed by any whitespace; ``trans``
+    lines, most of a model, are matched first.  Wildcard transition
+    patterns (``trans w0 [a=1] w2`` leaves the other agents unconstrained;
+    ``[]`` matches every profile) expand into explicit mechanism triples;
+    pattern lines accumulate rather than override.  With ``require_regular``
+    the loader scans the system once for regularity, and raises if any
+    state/profile pair lacks a successor.
     """
-    stripped: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            stripped.append((line_no, line))
-
     decls: dict[str, list[str]] = {}
-    rest: list[tuple[int, str]] = []
-    for line_no, line in stripped:
-        key, _, value = line.partition(":")
+    # every other line in file order, a ``trans`` line with its match
+    rest: list[tuple[int, str, re.Match | None]] = []
+    match_trans = TRANS_RE.fullmatch
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        m = match_trans(line)
+        if m is not None:
+            rest.append((line_no, line, m))
+            continue
+        key, colon, value = line.partition(":")
         key = key.strip()
-        if key in ("agents", "choices", "states") and _ == ":":
+        if colon and key in ("agents", "choices", "states"):
             if key in decls:
                 raise ModelFormatError(f"duplicate {key!r} declaration", line_no)
             tokens = value.split()
@@ -497,7 +521,7 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
                 raise ModelFormatError(f"{key!r} declaration is empty", line_no)
             decls[key] = tokens
         else:
-            rest.append((line_no, line))
+            rest.append((line_no, line, None))
     for key in ("agents", "choices", "states"):
         if key not in decls:
             raise ModelFormatError(f"missing {key!r} declaration")
@@ -513,9 +537,26 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
     mechanism: list[tuple[str, Profile, str]] = []
     expansions: dict[str, list[Profile]] = {}  # each distinct pattern once
 
-    for line_no, line in rest:
-        if line.startswith("indist "):
-            head, colon, body = line[len("indist "):].partition(":")
+    for line_no, line, m in rest:
+        if m is not None:
+            w1, pattern, w2 = m.groups()
+            if w1 not in state_set or w2 not in state_set:
+                bad = w1 if w1 not in state_set else w2
+                raise ModelFormatError(f"undeclared state {bad!r}", line_no)
+            pattern = pattern.strip()
+            profiles = expansions.get(pattern)
+            if profiles is None:
+                constraints = _read_votes(pattern, agent_set, choice_set,
+                                          ModelFormatError, line_no) if pattern else {}
+                profiles = expansions[pattern] = _expand_pattern(agents, choices, constraints)
+            for profile in profiles:
+                mechanism.append((w1, profile, w2))
+            continue
+        keyword, *tail = line.split(None, 1)  # any whitespace ends a keyword
+        if not tail:
+            keyword = None  # and more must follow it
+        if keyword == "indist":
+            head, colon, body = tail[0].partition(":")
             agent = head.strip()
             if not colon:
                 raise ModelFormatError("expected ':' in indist line", line_no)
@@ -529,8 +570,8 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
                     if w not in state_set:
                         raise ModelFormatError(f"undeclared state {w!r}", line_no)
                 indist_blocks[agent].append(block)
-        elif line.startswith("valuation "):
-            head, colon, body = line[len("valuation "):].partition(":")
+        elif keyword == "valuation":
+            head, colon, body = tail[0].partition(":")
             prop = head.strip()
             if not colon:
                 raise ModelFormatError("expected ':' in valuation line", line_no)
@@ -540,30 +581,19 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
                 if w not in state_set:
                     raise ModelFormatError(f"undeclared state {w!r}", line_no)
                 valuation.setdefault(prop, set()).add(w)
-        elif line.startswith("trans "):
-            m = TRANS_RE.fullmatch(line)
-            if not m:
-                raise ModelFormatError(
-                    "expected 'trans STATE [pattern] STATE'", line_no)
-            w1, pattern, w2 = m.group(1), m.group(2).strip(), m.group(3)
-            for w in (w1, w2):
-                if w not in state_set:
-                    raise ModelFormatError(f"undeclared state {w!r}", line_no)
-            profiles = expansions.get(pattern)
-            if profiles is None:
-                constraints = _read_votes(pattern, agent_set, choice_set,
-                                          ModelFormatError, line_no) if pattern else {}
-                profiles = expansions[pattern] = _expand_pattern(agents, choices, constraints)
-            mechanism += [(w1, profile, w2) for profile in profiles]
+        elif keyword == "trans":
+            raise ModelFormatError("expected 'trans STATE [pattern] STATE'", line_no)
         else:
             raise ModelFormatError(f"unrecognized line {line!r}", line_no)
 
     ets = EpistemicTransitionSystem(
         agents, states, choices, indist_blocks, mechanism, valuation)
-    if require_regular and not ets.is_regular:
+    if require_regular:
         violations = check_regular(ets)
-        w, profile = violations[0]
-        raise ModelFormatError(
-            f"system is not regular: no successor for state {w!r} under "
-            f"profile {profile} ({len(violations)} violations)")
+        ets._regular = not violations
+        if violations:
+            w, profile = violations[0]
+            raise ModelFormatError(
+                f"system is not regular: no successor for state {w!r} under "
+                f"profile {profile} ({len(violations)} violations)")
     return ets

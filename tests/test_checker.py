@@ -1,7 +1,9 @@
+import importlib
 import itertools
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,7 @@ from knowhow.harness import (
 )
 from knowhow.system import (
     InvalidHistoryError, Profile, History, hist_indist, load_system,
-    parse_history, histories_of_length,
+    parse_history, histories_of_length, profile_agrees, state_indist,
 )
 
 A = frozenset({"a"})
@@ -240,6 +242,51 @@ def test_views_are_built_once_per_system_and_coalition(monkeypatch):
             evaluate(ets, h, f, horizon)
     assert len(built) == len(set(built))
     assert {ets for ets, _ in built} == {id(ets) for ets in systems}
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _view_systems(monkeypatch):
+    """Random systems of 1-3 agents, and the benchmark's models as loaded,
+    whose moves hold the loader's profile objects, not the system's
+    ``complete_profiles``."""
+    for agents in (1, 2, 3):
+        for seed in (1, 2):
+            yield gen_system(GenParams(seed=seed, num_states=3, num_agents=agents,
+                                       num_choices=3 if agents == 1 else 2,
+                                       branching=1.5))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen, workloads = importlib.import_module("gen"), importlib.import_module("workloads")
+    for inputs in (workloads.check_inputs, workloads.horizon_inputs):
+        models, _ = inputs(1, 1.0)
+        for model in models:
+            yield load_system(gen.model_text(model))
+
+
+def test_views_number_moves_as_the_relations_tell_them_apart(monkeypatch):
+    foreign = 0  # systems whose moves hold other objects than complete_profiles
+    for ets in _view_systems(monkeypatch):
+        states = sorted(ets.states)
+        moves = [(w, i, s, v) for w in states
+                 for i, (s, v) in enumerate(ets.successors(w))]
+        foreign += any(all(s is not t for t in ets.complete_profiles)
+                       for _, _, s, _ in moves)
+        for coalition in _coalitions(ets.agents, include_empty=False):
+            view = checker._View(ets, states, coalition)
+            assert view.profiles == ets.profiles_over(coalition)
+            assert all(view.alike[w].keys() == set(view.sees[w]) for w in states)
+            for w, i, s, v in moves:
+                assert profile_agrees(view.profiles[view.picks[w][i]], s, coalition)
+                assert view.alike[w][view.sees[w][i]] == [
+                    j for j, seen in enumerate(view.sees[w])
+                    if seen == view.sees[w][i]]
+            for (w1, i1, s1, v1), (w2, i2, s2, v2) in itertools.product(moves, repeat=2):
+                alike = (profile_agrees(s1, s2, coalition)
+                         and state_indist(ets, v1, v2, coalition))
+                assert (view.sees[w1][i1] == view.sees[w2][i2]) == alike, (
+                    coalition, (w1, s1, v1), (w2, s2, v2))
+    assert foreign >= 32 + 64  # every loaded model at least
 
 
 def test_evaluations_sharing_a_system_agree_with_fresh_systems():

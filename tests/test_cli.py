@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -155,6 +156,26 @@ def test_check_scans_the_model_for_regularity_once(t1_path, capsys, monkeypatch)
     assert len(scans) == 1
 
 
+def test_check_scans_a_model_that_is_not_regular_once(tmp_path, capsys, monkeypatch):
+    scans = []
+    scan = system.check_regular
+
+    def counting(ets):
+        scans.append(ets)
+        return scan(ets)
+
+    monkeypatch.setattr(system, "check_regular", counting)
+    path = tmp_path / "gap.ets"
+    path.write_text("agents: a\nchoices: 0 1\nstates: w0\ntrans w0 [a=0] w0\n")
+    code = main(["check", "--system", str(path), "--history", "w0",
+                 "--formula", "p"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: system is not regular: no successor for state 'w0' under "
+            "profile a=1 (1 violations)\n")
+    assert len(scans) == 1
+
+
 def test_check_rejects_a_formula_nested_past_the_limit(t1_path, capsys):
     code = main(["check", "--system", t1_path, "--history", "w2",
                  "--formula", "!" * 5000 + "p"])
@@ -296,6 +317,42 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
     assert "Traceback" not in out + err
 
 
+def _answers(tmp_path, capsys, model, proof):
+    """Exit codes and output of ``check`` on a model and ``prove`` on a
+    proof, both written byte for byte."""
+    out = []
+    for name, text in (("model.ets", model), ("derivation.proof", proof)):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        code = main(["check", "--system", str(path), "--history", "w0 ; a=1 ; w1",
+                     "--formula", "H{a} p"] if name == "model.ets"
+                    else ["prove", str(path)])
+        out.append((code, capsys.readouterr()))
+    return out
+
+
+@pytest.mark.parametrize("prefix,newline", [
+    ("\ufeff", "\n"), ("", "\r\n"), ("", "\r"), ("\ufeff", "\r\n")],
+    ids=["bom", "crlf", "cr", "bom-crlf"])
+def test_a_byte_order_mark_and_line_ends_change_no_answer(tmp_path, capsys,
+                                                          prefix, newline):
+    model, proof = fixture_text("t1"), proof_text("positive_introspection.proof")
+    plain = _answers(tmp_path, capsys, model, proof)
+    assert [code for code, _ in plain] == [0, 0]
+    assert plain[1][1] == ("ok\n", "")
+    assert _answers(tmp_path, capsys, prefix + model.replace("\n", newline),
+                    prefix + proof.replace("\n", newline)) == plain
+
+
+def test_only_one_byte_order_mark_is_dropped(tmp_path, capsys):
+    # the second one stays on the first line, which is otherwise a comment
+    model, proof = _answers(
+        tmp_path, capsys, "\ufeff\ufeff" + fixture_text("t1"),
+        "\ufeff\ufeff" + proof_text("positive_introspection.proof"))
+    assert model == (2, ("", "error: line 1: unrecognized line '\\ufeff'\n"))
+    assert proof == (2, ("", "error: line 1: unexpected content '\\ufeff'\n"))
+
+
 @pytest.mark.parametrize("command", [
     ["prove", "{path}"], ["check", "--system", "{path}", "--history", "w0",
                           "--formula", "p"], ["validate", "--system", "{path}"]])
@@ -368,13 +425,40 @@ _MODEL = ("agents: a b\nchoices: 0 1\nstates: w0 w1\n"
     (_MODEL + "trans w0 w1\n", "line 7: expected 'trans STATE [pattern] STATE'"),
     (_MODEL + "trans w0 [a] w1\n", "line 7: bad vote 'a', expected agent=choice"),
     (_MODEL + "trans w0 [a=0, a=1] w1\n", "line 7: agent 'a' listed twice"),
-    (_MODEL + "frobnicate\n", "line 7: unrecognized line 'frobnicate'")])
+    (_MODEL + "frobnicate\n", "line 7: unrecognized line 'frobnicate'"),
+    # a keyword is followed by any whitespace, and only then read as one
+    (_MODEL + "transx w0 [] w1\n", "line 7: unrecognized line 'transx w0 [] w1'"),
+    (_MODEL + "indistx a: w0\n", "line 7: unrecognized line 'indistx a: w0'"),
+    (_MODEL + "trans\n", "line 7: unrecognized line 'trans'"),
+    (_MODEL + "trans\tw0\tw1\n", "line 7: expected 'trans STATE [pattern] STATE'"),
+    (_MODEL + "indist\ta w0 w1\n", "line 7: expected ':' in indist line"),
+    (_MODEL + "valuation\tq w0\n", "line 7: expected ':' in valuation line"),
+    (_MODEL + "valuation\t1q: w0\n", "line 7: bad proposition token '1q'")])
 def test_model_file_errors_are_usage_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ets"
     path.write_text(text)
     assert main(["check", "--system", str(path), "--history", "w0",
                  "--formula", "p"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# (a vertical tab or form feed ends a line)
+@pytest.mark.parametrize("separator", ["\t", "  ", " \t ", "\u00a0"])
+def test_any_whitespace_may_follow_a_model_keyword(tmp_path, capsys, separator):
+    model = _MODEL + "indist a: w0 w1\n"
+    outputs = []
+    for name, text in (("spaces.ets", model),
+                       ("other.ets", re.sub(r"^(trans|indist|valuation) ",
+                                            lambda m: m[1] + separator, model,
+                                            flags=re.M))):
+        assert name == "spaces.ets" or text.count(separator) == 4
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code = main(["check", "--system", str(path), "--history",
+                     "w0 ; a=0,b=1 ; w1", "--formula", "K{a} p"])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1 and "verdict: False" in outputs[0][1].out
 
 
 @pytest.mark.parametrize("history,message", [

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import random
 import re
 from pathlib import Path
 
@@ -355,6 +356,33 @@ def test_parse_history_returns_the_nodes_of_the_history_tree(t1):
     with pytest.raises(InvalidHistoryError,
                        match=r"^\(w1 ; a=1 ; w0\) is not a mechanism transition$"):
         h(t1, "w0 ; a=1 ; w1 ; a=1 ; w0")
+
+
+def test_successors_follow_profile_order_whatever_the_mechanism_order():
+    agents, states, choices = ["a", "b"], ["w0", "w1", "w2"], ["0", "1", "2"]
+    rng = random.Random(7)
+    listed = [(w1, Profile.of(dict(zip(agents, combo))), w2)
+              for w1 in states
+              for combo in itertools.product(choices, repeat=len(agents))
+              for w2 in rng.sample(states, rng.randint(1, 3))]
+    # each triple again, with a profile that is another object
+    mechanism = listed + [(w1, Profile(s.votes), w2) for w1, s, w2 in listed]
+    rng.shuffle(mechanism)
+    ets = EpistemicTransitionSystem(agents, states, choices, {}, mechanism, {})
+    assert ets.mechanism == set(listed)
+    for w in states:
+        assert ets.successors(w) == tuple(sorted(
+            {(s, w2) for w1, s, w2 in listed if w1 == w}))
+
+
+def test_a_parsed_anchor_holds_the_systems_own_profiles(t2):
+    anchor = h(t2, "w0 ; a=1,b=1,c=0 ; w4 ; c=0,b=0,a=0 ; w4")
+    for w1, s, w2 in zip(anchor.states, anchor.profiles, anchor.states[1:]):
+        assert any(s is t and w2 == v for t, v in t2.successors(w1))
+    # a step that is no move names its state, votes and target
+    with pytest.raises(InvalidHistoryError,
+                       match=r"^\(w4 ; a=0,b=0,c=0 ; w0\) is not a mechanism transition$"):
+        h(t2, "w0 ; a=1,b=1,c=0 ; w4 ; c=0,b=0,a=0 ; w0")
 
 
 def test_history_shape_is_checked():
