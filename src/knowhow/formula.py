@@ -69,11 +69,14 @@ class NestingError(InputError):
     """A formula built in code nests deeper than ``MAX_NESTING`` levels."""
 
 
-class _Frozen:
-    """Refuses attribute assignment and deletion, as a frozen dataclass does.
+class _Record:
+    """An immutable value whose class's own ``__slots__`` are its
+    constructor's parameters, in order.
 
-    Constructors write their slots through ``object.__setattr__`` or the
-    slots' descriptors.
+    Equality, hashing, ``repr`` and pickling go by those fields, as a frozen
+    dataclass's do; a copy is rebuilt through the constructor.  Assignment
+    and deletion raise, so constructors write their slots through the
+    slots' descriptors or ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -83,17 +86,6 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class _Record(_Frozen):
-    """An immutable value whose class's own ``__slots__`` are its
-    constructor's parameters, in order.
-
-    Equality, hashing, ``repr`` and pickling go by those fields, as a frozen
-    dataclass's do; a copy is rebuilt through the constructor.
-    """
-
-    __slots__ = ()
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))

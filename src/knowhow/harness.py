@@ -31,7 +31,6 @@ level and coalition, however many related pairs share it.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from dataclasses import dataclass, field, replace
 
@@ -40,8 +39,8 @@ from .formula import (
     format_coalition, h_depth, uses_empty_coalition,
 )
 from .system import (
-    EpistemicTransitionSystem, History, Profile, check_profile_count,
-    histories_of_length, hist_indist, profile_agrees, state_indist,
+    EpistemicTransitionSystem, History, check_profile_count, histories_of_length,
+    hist_indist, profile_agrees, state_indist, _profiles,
 )
 from .checker import Verdict, evaluate, evaluate_naive
 from .proofkit import AxiomName, match_axiom
@@ -105,9 +104,9 @@ def gen_system(params: GenParams) -> EpistemicTransitionSystem:
 
     extra = params.branching - 1.0
     mechanism = []
-    # ``Profile.of`` sorts the votes: ``a10`` comes before ``a2``
-    profiles = [Profile.of(dict(zip(agents, combo)))
-                for combo in itertools.product(choices, repeat=len(agents))]
+    # listed in declared agent order, which the draws below depend on; each
+    # profile's votes are sorted, so ``a10`` comes before ``a2``
+    profiles = tuple(_profiles(agents, [choices] * len(agents)))
     for w in states:
         for profile in profiles:
             count = 1 + int(extra) + (1 if rng.random() < extra - int(extra) else 0)
@@ -298,7 +297,7 @@ class SoundnessReport:
         return lines
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "suite": "soundness",
             "seed": self.params.seed,
             "systems": self.systems,
@@ -309,6 +308,13 @@ class SoundnessReport:
                  "formula": str(v.formula), "history": str(v.history)}
                 for v in self.violations],
         }
+        # a clean report keeps its bytes; a rejection fails the run, so it says why
+        if self.guard_rejections:
+            out["guard_rejections"] = [
+                {"system_seed": g.system_seed, "schema": g.schema.value,
+                 "formula": str(g.formula)}
+                for g in self.guard_rejections]
+        return out
 
     def __str__(self):
         return "\n".join(self.to_lines())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .formula import (
     Atom, Coalition, Falsum, Formula, How, Implies, Know, Not,
-    FormulaSyntaxError, IDENT_RE, InputError, parse,
+    FormulaSyntaxError, IDENT_RE, InputError, format_coalition, parse,
 )
 
 
@@ -210,7 +210,7 @@ class Necessitation(Justification):
     coalition: Coalition
 
     def __str__(self):
-        return "nec{%s} %d" % (",".join(sorted(self.coalition)), self.premise)
+        return "nec%s %d" % (format_coalition(self.coalition), self.premise)
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ class StrategicNecessitation(Justification):
     coalition: Coalition
 
     def __str__(self):
-        return "snec{%s} %d" % (",".join(sorted(self.coalition)), self.premise)
+        return "snec%s %d" % (format_coalition(self.coalition), self.premise)
 
 
 @dataclass(frozen=True)

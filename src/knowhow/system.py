@@ -7,7 +7,11 @@ valuation of proposition tokens.  Histories are mechanism-consistent
 alternating sequences of states and complete profiles; all queries here are
 pure, and no value changes once built.
 
-A ``History`` keeps its states and profiles as plain tuples.
+A ``Profile`` is an immutable record of its sorted votes, and a
+``History`` keeps its states and profiles as plain tuples.  One enumerator,
+``_profiles``, lists the profiles of a coalition, the complete profiles,
+the profiles a wildcard ``trans`` pattern matches and those the harness's
+generator draws successors for.
 :func:`histories_of_length` builds whole levels, once per system, and
 :func:`parse_history` walks down from a level-0 root.  The relations
 ``state_indist``, ``profile_agrees`` and ``hist_indist`` are the plain
@@ -21,7 +25,7 @@ import itertools
 import re
 from collections.abc import Container, Iterable, Mapping
 
-from .formula import Coalition, IDENT_RE, InputError, _cached_hash, _Frozen, _Record
+from .formula import Coalition, IDENT_RE, InputError, _cached_hash, _Record
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
 TRANS_RE = re.compile(r"trans\s+(\S+)\s+\[([^\]]*)\]\s+(\S+)")
@@ -40,8 +44,10 @@ class InvalidHistoryError(InputError):
 #: and a wildcard transition expands into one triple per matching profile,
 #: so time and memory grow by a factor |choices| per agent.  On a 2-vCPU
 #: Xeon VM with Python 3.11, validating a one-state wildcard model took
-#: 4.1 s and 209 MB with 16 two-choice agents, and 0.12 s and 30 MB at this
-#: cap (12 two-choice agents, or 6 four-choice ones).
+#: 4.1 s and 209 MB with 16 two-choice agents.  At this cap (12 two-choice
+#: agents, or 6 four-choice ones), a ``knowhow validate`` process on one
+#: state with four wildcard lines takes about 0.15 s and 36 MB, and about
+#: 0.15 s and 31 MB when its 4096 profiles are listed one line each.
 MAX_PROFILES = 4096
 
 
@@ -58,16 +64,23 @@ def check_profile_count(num_agents: int, num_choices: int,
                     f"than {MAX_PROFILES} complete profiles")
 
 
-class Profile(_Frozen):
+class _Derived(_Record):
+    # what a profile derives from its votes: slots, but not record fields,
+    # as ``Formula`` keeps ``_h`` and ``_measures`` beside its nodes' fields
+    __slots__ = ("_h", "_choice")
+
+
+class Profile(_Derived):
     """Immutable assignment of one choice to each agent in its domain.
 
     Used both for complete profiles (domain = all agents of the system) and
-    for coalition strategy profiles (domain = the coalition).  The agent to
+    for coalition strategy profiles (domain = the coalition).  A record of
+    its sorted ``(agent, choice)`` votes: profiles compare and hash by
+    ``votes`` and have no order; sort them by ``votes``.  The agent to
     choice map ``_choice`` is built once, so a vote lookup costs O(1).
-    Profiles compare, hash and order by ``votes``.
     """
 
-    __slots__ = ("votes", "_h", "_choice")  # votes: sorted (agent, choice) pairs
+    __slots__ = ("votes",)
     __hash__ = _cached_hash
 
     def __init__(self, votes: tuple[tuple[str, str], ...]):
@@ -75,36 +88,13 @@ class Profile(_Frozen):
         _set_h(self, hash(votes))
         _set_choice(self, dict(votes))
 
-    def __reduce__(self):
-        return Profile, (self.votes,)
-
-    def __repr__(self) -> str:
-        return f"Profile(votes={self.votes!r})"
-
+    # by votes alone: about 0.11 us a call against 0.82 us for
+    # ``_Record.__eq__``, which builds two field tuples, and a ``fuzz`` op
+    # compares profiles about 860 times (``.index`` and ``in`` over moves)
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.votes == other.votes
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.votes < other.votes
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.votes <= other.votes
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.votes > other.votes
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.votes >= other.votes
 
     @classmethod
     def of(cls, mapping: Mapping[str, str]) -> "Profile":
@@ -121,10 +111,16 @@ class Profile(_Frozen):
         return ",".join(f"{a}={c}" for a, c in self.votes)
 
 
-# ``_Frozen`` refuses assignment; the constructor writes through the slots'
-# descriptors
 _set_votes, _set_h, _set_choice = (
     Profile.votes.__set__, Profile._h.__set__, Profile._choice.__set__)
+
+
+def _profiles(members: list[str], options: list[list[str]]) -> Iterable[Profile]:
+    """Every profile in which each member picks one of its own ``options``:
+    the product of the lists in the order given, the first member varying
+    slowest, each profile's votes sorted by agent."""
+    for combo in itertools.product(*options):
+        yield Profile(tuple(sorted(zip(members, combo))))
 
 
 def profile_agrees(s1: Profile, s2: Profile, coalition: Coalition) -> bool:
@@ -209,7 +205,8 @@ class EpistemicTransitionSystem:
         if not self.choices:
             raise ModelFormatError("system needs at least one choice")
         check_profile_count(len(self.agents), len(self.choices))
-        self._complete_profiles = self.profiles_over(self.agents)
+        #: all |choices|^|agents| complete profiles, in lexicographic order
+        self.complete_profiles = self.profiles_over(self.agents)
 
         self._block: dict[str, dict[str, int]] = {}
         self.indist: dict[str, tuple[frozenset[str], ...]] = {}
@@ -240,7 +237,7 @@ class EpistemicTransitionSystem:
         # only a complete profile's votes skip the checks below, and every
         # other profile fails one of them.  Moves are keyed by votes, whose
         # hashing and comparison run in C; the first triple of a key is kept.
-        complete = {s.votes for s in self._complete_profiles}
+        complete = {s.votes for s in self.complete_profiles}
         states = self.states
         moves: dict[tuple[str, tuple, str], Profile] = {}
         for w1, profile, w2 in mechanism:
@@ -285,18 +282,10 @@ class EpistemicTransitionSystem:
         self._views: dict[Coalition, object] = {}
         self._regular: bool | None = None
 
-    @property
-    def complete_profiles(self) -> tuple[Profile, ...]:
-        """All |choices|^|agents| complete profiles, in lexicographic order."""
-        return self._complete_profiles
-
     def profiles_over(self, coalition: Coalition) -> tuple[Profile, ...]:
         """All strategy profiles of the coalition, in lexicographic order."""
-        members = sorted(coalition)
         choices = sorted(self.choices)
-        return tuple(
-            Profile(tuple(zip(members, combo)))
-            for combo in itertools.product(choices, repeat=len(members)))
+        return tuple(_profiles(sorted(coalition), [choices] * len(coalition)))
 
     def successors(self, state: str) -> tuple[tuple[Profile, str], ...]:
         return self._succ[state]
@@ -466,17 +455,6 @@ def _read_votes(text: str, agents: Container[str], choices: Container[str],
     return votes
 
 
-def _expand_pattern(sys_agents: list[str], choices: list[str],
-                    constraints: dict[str, str]) -> list[Profile]:
-    free = [a for a in sys_agents if a not in constraints]
-    out = []
-    for combo in itertools.product(choices, repeat=len(free)):
-        votes = dict(constraints)
-        votes.update(zip(free, combo))
-        out.append(Profile.of(votes))
-    return out
-
-
 def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransitionSystem:
     """Parse the line-oriented model format into a validated system.
 
@@ -546,9 +524,10 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
             pattern = pattern.strip()
             profiles = expansions.get(pattern)
             if profiles is None:
-                constraints = _read_votes(pattern, agent_set, choice_set,
-                                          ModelFormatError, line_no) if pattern else {}
-                profiles = expansions[pattern] = _expand_pattern(agents, choices, constraints)
+                fixed = _read_votes(pattern, agent_set, choice_set,
+                                    ModelFormatError, line_no) if pattern else {}
+                profiles = expansions[pattern] = list(_profiles(
+                    agents, [[fixed[a]] if a in fixed else choices for a in agents]))
             for profile in profiles:
                 mechanism.append((w1, profile, w2))
             continue

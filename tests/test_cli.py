@@ -11,7 +11,7 @@ from knowhow.cli import main
 from knowhow.fixtures import (
     FIXTURES, Claim, fixture_text, load_fixture, proof_text, run_claims,
 )
-from knowhow.formula import MAX_NESTING
+from knowhow.formula import MAX_NESTING, parse
 from knowhow.proofkit import MAX_OPAQUE
 from knowhow.system import MAX_PROFILES
 
@@ -526,6 +526,21 @@ def test_fuzz_json_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["soundness"]["violations"] == []
     assert payload["lemmas"]["failures"] == []
+
+
+def test_fuzz_json_names_the_guard_rejections_it_fails_on(capsys, monkeypatch):
+    # a matcher that recognises no schema rejects every generated instance
+    monkeypatch.setattr(harness, "match_axiom", lambda f: frozenset())
+    code = main(["fuzz", "--json", "--systems", "1", "--instances", "1"])
+    assert code == 1
+    sound = json.loads(capsys.readouterr().out)["soundness"]
+    assert sound["violations"] == []
+    rejected = sound["guard_rejections"]
+    assert len(rejected) == sound["instances"] == len(harness.AxiomName)
+    assert [r["schema"] for r in rejected] == [name.value for name in harness.AxiomName]
+    for r in rejected:
+        assert r.keys() == {"system_seed", "schema", "formula"}
+        assert r["system_seed"] == 0 and parse(r["formula"])
 
 
 @pytest.mark.parametrize("flag,value", [

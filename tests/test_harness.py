@@ -69,6 +69,26 @@ def test_gen_system_is_regular_with_agents_that_sort_out_of_declared_order():
     assert report.violations == [] and report.guard_rejections == []
 
 
+# sha256 of repr((sorted (w1, votes, w2) triples, sorted valuation)) of
+# three-state systems, recorded at fcea951.  With three states the branching
+# draws fall on the profiles in the order the generator lists them, so a
+# listing in another order ("a10" before "a2") changes the triples and the
+# valuation drawn after them.
+GENERATED_DIGESTS = {
+    11: (7407, "9d3cf4b8871801a18a2ed6d872eb4082bc271ab1dac27336dad28ddfdfb394a9"),
+    12: (14824, "a15a94253fc0e27bf41cf8e22f2852191e3c43ce33d3d1034e05bebf5feb1123"),
+}
+
+
+@pytest.mark.parametrize("agents", list(GENERATED_DIGESTS))
+def test_generated_systems_keep_their_draws(agents):
+    ets = gen_system(GenParams(num_states=3, num_agents=agents, history_depth=0))
+    triples = sorted((w1, s.votes, w2) for w1, s, w2 in ets.mechanism)
+    valuation = sorted((prop, sorted(where)) for prop, where in ets.valuation.items())
+    digest = hashlib.sha256(repr((triples, valuation)).encode()).hexdigest()
+    assert (len(triples), digest) == GENERATED_DIGESTS[agents]
+
+
 def test_gen_formula_depth_and_determinism():
     p = GenParams(seed=3, formula_depth=0)
     f = gen_formula(p, ("p",), ("a",))

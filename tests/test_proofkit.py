@@ -321,6 +321,11 @@ def test_verify_checks_necessitation_shape_and_mode():
     assert r.line == 2 and "mode violation" in r.reason
 
 
+def test_necessitations_print_their_coalition_as_formulas_do():
+    assert str(Necessitation(3, frozenset({"b", "a"}))) == "nec{a,b} 3"
+    assert str(StrategicNecessitation(1, frozenset())) == "snec{} 1"
+
+
 def test_modus_ponens_from_hypotheses_is_allowed():
     d = Derivation(
         (("h1", Atom("p")),),

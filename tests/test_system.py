@@ -358,6 +358,12 @@ def test_parse_history_returns_the_nodes_of_the_history_tree(t1):
         h(t1, "w0 ; a=1 ; w1 ; a=1 ; w0")
 
 
+def _move_key(move):
+    # profiles have no order; a state's moves are listed by votes, then target
+    profile, target = move
+    return profile.votes, target
+
+
 def test_successors_follow_profile_order_whatever_the_mechanism_order():
     agents, states, choices = ["a", "b"], ["w0", "w1", "w2"], ["0", "1", "2"]
     rng = random.Random(7)
@@ -372,7 +378,7 @@ def test_successors_follow_profile_order_whatever_the_mechanism_order():
     assert ets.mechanism == set(listed)
     for w in states:
         assert ets.successors(w) == tuple(sorted(
-            {(s, w2) for w1, s, w2 in listed if w1 == w}))
+            {(s, w2) for w1, s, w2 in listed if w1 == w}, key=_move_key))
 
 
 def test_a_parsed_anchor_holds_the_systems_own_profiles(t2):
@@ -450,17 +456,51 @@ def _workload_model_texts(monkeypatch):
             yield from map(gen.model_text, models)
 
 
+def _random_model(rng):
+    """A model over 1-4 agents and 2-3 choices declared out of order, whose
+    ``trans`` lines fix random votes: ``[]``, overlapping and repeated
+    patterns included."""
+    agents = rng.sample(["a", "b", "c", "d"], rng.randint(1, 4))
+    choices = rng.sample(["2", "0", "1"], rng.randint(2, 3))
+    states = [f"w{i}" for i in range(rng.randint(1, 3))]
+    lines = [f"agents: {' '.join(agents)}", f"choices: {' '.join(choices)}",
+             f"states: {' '.join(states)}"]
+    for _ in range(rng.randint(1, 8)):
+        fixed = rng.sample(agents, rng.randint(0, len(agents)))
+        pattern = " , ".join(f"{a}={rng.choice(choices)}" for a in fixed)
+        line = f"trans {rng.choice(states)} [{pattern}] {rng.choice(states)}"
+        lines += [line] * rng.randint(1, 2)
+    rng.shuffle(lines)
+    return "\n".join(lines)
+
+
 def test_models_load_to_the_transitions_they_list(monkeypatch):
     texts = [fixture_text("t1"), fixture_text("t2"),
              *_workload_model_texts(monkeypatch)]
     assert len(texts) == 2 + 3 * (32 + 64)
-    for text in texts:
-        ets = load_system(text)
+    rng = random.Random(3)
+    for i, text in enumerate(texts + [_random_model(rng) for _ in range(400)]):
+        ets = load_system(text, require_regular=i < len(texts))
         listed = _listed_mechanism(text)
-        assert ets.mechanism == listed
+        assert ets.mechanism == listed, text
         for w in ets.states:
             assert ets.successors(w) == tuple(sorted(
-                (s, w2) for w1, s, w2 in listed if w1 == w))
+                ((s, w2) for w1, s, w2 in listed if w1 == w), key=_move_key)), text
+
+
+def test_coalition_profiles_are_listed_in_votes_order():
+    # eleven choices: "10" sorts before "2"
+    choices = [str(i) for i in range(11)]
+    ets = EpistemicTransitionSystem(["c", "a", "b"], ["w"], choices, {}, (), {})
+    for size in range(4):
+        for coalition in itertools.combinations("bca", size):
+            members = sorted(coalition)
+            expected = [tuple(zip(members, combo))
+                        for combo in itertools.product(sorted(choices), repeat=size)]
+            votes = [s.votes for s in ets.profiles_over(frozenset(coalition))]
+            assert votes == expected == sorted(expected)
+    assert ets.profiles_over(frozenset()) == (Profile(()),)
+    assert ets.complete_profiles == ets.profiles_over(ets.agents)
 
 
 def test_transition_diagnostics_keep_their_text():

@@ -3,7 +3,7 @@ nodes, ``Profile``, ``History``, ``Verdict``, ``Claim`` and ``Measures``.
 
 They are plain ``__slots__`` classes, so these tests pin what the frozen
 dataclasses they replaced gave: structural equality within a class,
-hashing, ``Profile``'s ordering, the exact ``repr`` and refused assignment.
+hashing, the exact ``repr`` and refused assignment.  Profiles have no order.
 """
 import copy
 import os
@@ -20,7 +20,7 @@ from knowhow.fixtures import Claim
 from knowhow.formula import (
     TOP, Atom, Falsum, How, Implies, Know, Measures, Not, measures, parse,
 )
-from knowhow.system import History, Profile
+from knowhow.system import EpistemicTransitionSystem, History, Profile
 
 a = frozenset({"a"})
 ab = frozenset({"a", "b"})
@@ -57,17 +57,22 @@ def test_node_hashes_fold_the_operands_hashes():
     assert hash(parse("H{b,a} (p -> q)")) == hash(How(ab, Implies(p, q)))
 
 
-def test_profiles_hash_and_order_by_their_votes():
-    profiles = [Profile.of(dict(zip("ab", votes))) for votes in ("11", "01", "10", "00")]
-    assert [str(s) for s in sorted(profiles)] == ["a=0,b=0", "a=0,b=1", "a=1,b=0",
-                                                   "a=1,b=1"]
-    assert sorted(profiles) == sorted(profiles, key=lambda s: s.votes)
+def test_profiles_hash_by_their_votes_and_have_no_order():
     low, high = Profile.of({"a": "0"}), Profile.of({"a": "1"})
-    assert low < high and low <= high and high > low and high >= low
-    assert low <= Profile.of({"a": "0"}) >= low and not low < Profile.of({"a": "0"})
     assert hash(low) == hash(low.votes) and low == Profile((("a", "0"),)) != high
-    with pytest.raises(TypeError):
-        low < low.votes
+    # a profile is not its votes, and equals no value of another class
+    assert low != low.votes and low.__eq__(low.votes) is NotImplemented
+    assert all(low != x for x in _values() if type(x) is not Profile)
+    for other in (high, low.votes):
+        with pytest.raises(TypeError):
+            low < other
+    # complete profiles are listed in votes order, which compares choices
+    # as strings: "10" before "2"
+    ets = EpistemicTransitionSystem(["b", "a"], ["w"], map(str, range(11)), {}, (), {})
+    votes = [s.votes for s in ets.complete_profiles]
+    assert len(votes) == 121 and votes == sorted(votes)
+    assert votes[:3] == [(("a", "0"), ("b", "0")), (("a", "0"), ("b", "1")),
+                         (("a", "0"), ("b", "10"))]
 
 
 def test_the_repr_names_every_field():
