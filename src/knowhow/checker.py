@@ -125,8 +125,8 @@ class Verdict(_Record):
 
 
 def _check_preconditions(ets: EpistemicTransitionSystem, h: History,
-                         f: Formula, horizon: int | None) -> int:
-    validate_history(ets, h)
+                         f: Formula, horizon: int | None) -> tuple[int, list[int]]:
+    moves = validate_history(ets, h)
     if not ets.is_regular:
         raise RegularityError(
             "system is not regular; every state/profile pair needs a successor")
@@ -146,8 +146,8 @@ def _check_preconditions(ets: EpistemicTransitionSystem, h: History,
             raise HorizonError(
                 f"horizon {horizon} too small, need at least {floor} "
                 f"(history length plus know-how nesting)")
-        return horizon
-    return 0
+        return horizon, moves
+    return 0, moves
 
 
 class _View:
@@ -298,11 +298,12 @@ class _Types:
             u = row[i] = self.intern(self.ets.successors(head)[i][1], members)
         return u
 
-    def of(self, f: Formula, h: History) -> int:
-        """The ``f``-type of ``h``, folded along its path."""
-        t = self.root(f, h.states[0])
-        for head, s, w in zip(h.states, h.profiles, h.states[1:]):
-            t = self.step(t, self.ets.successors(head).index((s, w)))
+    def of(self, f: Formula, start: str, moves: list[int]) -> int:
+        """The ``f``-type of the history that starts at ``start`` and steps
+        along ``moves``, as :func:`validate_history` lists them."""
+        t = self.root(f, start)
+        for i in moves:
+            t = self.step(t, i)
         return t
 
 
@@ -426,9 +427,9 @@ def evaluate(ets: EpistemicTransitionSystem, h: History, f: Formula,
     know-how nesting) exactly when the formula mentions an empty coalition;
     it is ignored otherwise and the verdict is horizon-independent.
     """
-    used = _check_preconditions(ets, h, f, horizon)
+    used, moves = _check_preconditions(ets, h, f, horizon)
     ev = _Evaluator(ets, used)
-    t = ev.types.of(f, h)
+    t = ev.types.of(f, h.states[0], moves)
     if isinstance(f, How):
         strategy = ev.strategy(f, ev.types.types[t][1].get(f, ()))
         value = strategy is not None
@@ -503,7 +504,7 @@ def _naive_strategy(ets, h, coalition, body, horizon, flag) -> Profile | None:
 def evaluate_naive(ets: EpistemicTransitionSystem, h: History, f: Formula,
                    horizon: int | None = None) -> Verdict:
     """Same contract as :func:`evaluate`, by plain enumeration; the oracle."""
-    used = _check_preconditions(ets, h, f, horizon)
+    used, _ = _check_preconditions(ets, h, f, horizon)
     flag: list[str] = []
     if isinstance(f, How):
         strategy = _naive_strategy(ets, h, f.coalition, f.sub, used, flag)

@@ -25,7 +25,7 @@ import itertools
 import re
 from collections.abc import Container, Iterable, Mapping
 
-from .formula import Coalition, IDENT_RE, InputError, _cached_hash, _Record
+from .formula import Coalition, IDENT_RE, InputError, _Record
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
 TRANS_RE = re.compile(r"trans\s+(\S+)\s+\[([^\]]*)\]\s+(\S+)")
@@ -65,9 +65,9 @@ def check_profile_count(num_agents: int, num_choices: int,
 
 
 class _Derived(_Record):
-    # what a profile derives from its votes: slots, but not record fields,
+    # what a profile derives from its votes: a slot, but not a record field,
     # as ``Formula`` keeps ``_h`` and ``_measures`` beside its nodes' fields
-    __slots__ = ("_h", "_choice")
+    __slots__ = ("_choice",)
 
 
 class Profile(_Derived):
@@ -75,26 +75,20 @@ class Profile(_Derived):
 
     Used both for complete profiles (domain = all agents of the system) and
     for coalition strategy profiles (domain = the coalition).  A record of
-    its sorted ``(agent, choice)`` votes: profiles compare and hash by
-    ``votes`` and have no order; sort them by ``votes``.  The agent to
-    choice map ``_choice`` is built once, so a vote lookup costs O(1).
+    its sorted ``(agent, choice)`` votes: profiles compare by their one
+    field, as records do, hash as their ``votes`` do, and have no order;
+    sort them by ``votes``.  The agent to choice map ``_choice`` is built
+    once, so a vote lookup costs O(1).
     """
 
     __slots__ = ("votes",)
-    __hash__ = _cached_hash
 
     def __init__(self, votes: tuple[tuple[str, str], ...]):
         _set_votes(self, votes)
-        _set_h(self, hash(votes))
         _set_choice(self, dict(votes))
 
-    # by votes alone: about 0.11 us a call against 0.82 us for
-    # ``_Record.__eq__``, which builds two field tuples, and a ``fuzz`` op
-    # compares profiles about 860 times (``.index`` and ``in`` over moves)
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.votes == other.votes
+    def __hash__(self):
+        return hash(self.votes)
 
     @classmethod
     def of(cls, mapping: Mapping[str, str]) -> "Profile":
@@ -111,8 +105,7 @@ class Profile(_Derived):
         return ",".join(f"{a}={c}" for a, c in self.votes)
 
 
-_set_votes, _set_h, _set_choice = (
-    Profile.votes.__set__, Profile._h.__set__, Profile._choice.__set__)
+_set_votes, _set_choice = Profile.votes.__set__, Profile._choice.__set__
 
 
 def _profiles(members: list[str], options: list[list[str]]) -> Iterable[Profile]:
@@ -180,10 +173,12 @@ class EpistemicTransitionSystem:
     """Finite multi-agent transition system with per-agent state partitions.
 
     ``indist_blocks`` may list only the non-singleton blocks; unlisted states
-    become singletons.  The mechanism is stored extensionally as a set of
-    (state, complete profile, state) triples and may be nondeterministic.
-    Regularity (a successor for every state/profile pair) is *not* enforced
-    here; use :func:`check_regular` or load with ``require_regular=True``.
+    become singletons.  The mechanism may be nondeterministic.  Each
+    (state, votes, target) triple is kept once, as a move of ``successors``
+    that holds the system's own ``complete_profiles`` object; ``mechanism``
+    and ``is_regular`` (a successor for every state/profile pair) are read
+    off the moves.  Regularity is *not* enforced here; use
+    :func:`check_regular` or load with ``require_regular=True``.
     """
 
     def __init__(
@@ -235,11 +230,10 @@ class EpistemicTransitionSystem:
             self._block[agent] = table
 
         # only a complete profile's votes skip the checks below, and every
-        # other profile fails one of them.  Moves are keyed by votes, whose
-        # hashing and comparison run in C; the first triple of a key is kept.
-        complete = {s.votes for s in self.complete_profiles}
+        # other profile fails one of them.  Votes hash and compare in C.
+        complete = {s.votes: s for s in self.complete_profiles}
         states = self.states
-        moves: dict[tuple[str, tuple, str], Profile] = {}
+        keys: set[tuple[str, tuple, str]] = set()
         for w1, profile, w2 in mechanism:
             if w1 not in states or w2 not in states:
                 bad = w1 if w1 not in states else w2
@@ -256,9 +250,7 @@ class EpistemicTransitionSystem:
                 raise ModelFormatError(
                     f"transition profile {profile} does not list its votes "
                     f"once per agent in agent order")
-            moves.setdefault((w1, votes, w2), profile)
-        self.mechanism: frozenset[tuple[str, Profile, str]] = frozenset(
-            [(w1, profile, w2) for (w1, _, w2), profile in moves.items()])
+            keys.add((w1, votes, w2))
 
         self.valuation: dict[str, frozenset[str]] = {}
         for prop, where in valuation.items():
@@ -270,17 +262,20 @@ class EpistemicTransitionSystem:
                     f"{sorted(unknown)[0]!r}")
             self.valuation[prop] = where
 
-        # sorted (state, votes, target) keys list each state's moves as
-        # ``sorted`` lists its (profile, target) pairs, comparing no profile
+        # sorted keys list each state's moves as ``sorted`` lists its
+        # (profile, target) pairs, comparing no profile
         by_state: dict[str, list[tuple[Profile, str]]] = {w: [] for w in states}
-        for key in sorted(moves):
-            by_state[key[0]].append((moves[key], key[2]))
+        for w1, votes, w2 in sorted(keys):
+            by_state[w1].append((complete[votes], w2))
         self._succ: dict[str, tuple[tuple[Profile, str], ...]] = {
             w: tuple(out) for w, out in by_state.items()}
+        covered = {(w1, votes) for w1, votes, _ in keys}  # regularity, read once
+        self._gaps = [(w, s) for w in sorted(states) for s in self.complete_profiles
+                      if (w, s.votes) not in covered]
+        self.is_regular = not self._gaps
         self._levels: list[tuple[History, ...]] = []
         # the checker's view of each coalition's moves, built on first use
         self._views: dict[Coalition, object] = {}
-        self._regular: bool | None = None
 
     def profiles_over(self, coalition: Coalition) -> tuple[Profile, ...]:
         """All strategy profiles of the coalition, in lexicographic order."""
@@ -294,20 +289,15 @@ class EpistemicTransitionSystem:
         return state in self.valuation.get(prop, frozenset())
 
     @property
-    def is_regular(self) -> bool:
-        if self._regular is None:
-            self._regular = not check_regular(self)
-        return self._regular
+    def mechanism(self) -> frozenset[tuple[str, Profile, str]]:
+        """The (state, complete profile, state) triples, read off the moves."""
+        return frozenset([(w1, s, w2) for w1, moves in self._succ.items()
+                          for s, w2 in moves])
 
 
 def check_regular(ets: EpistemicTransitionSystem) -> list[tuple[str, Profile]]:
     """List the (state, complete profile) pairs with no successor; empty iff regular."""
-    violations = []
-    for w in sorted(ets.states):
-        with_succ = {profile.votes for profile, _ in ets.successors(w)}
-        violations += [(w, profile) for profile in ets.complete_profiles
-                       if profile.votes not in with_succ]
-    return violations
+    return list(ets._gaps)
 
 
 def state_indist(ets: EpistemicTransitionSystem, w1: str, w2: str,
@@ -365,15 +355,29 @@ def hist_indist(ets: EpistemicTransitionSystem, h1: History, h2: History,
     return True
 
 
-def validate_history(ets: EpistemicTransitionSystem, h: History) -> None:
-    """Raise InvalidHistoryError unless ``h`` is a history of ``ets``."""
+def _move(ets: EpistemicTransitionSystem, w1: str, votes: tuple, w2: str) -> int:
+    """The index in ``ets.successors(w1)`` of the move to ``w2`` under
+    ``votes``; InvalidHistoryError when that step is no move."""
+    for i, (s, v) in enumerate(ets._succ[w1]):
+        if v == w2 and s.votes == votes:
+            return i
+    raise InvalidHistoryError(
+        f"({w1} ; {Profile(votes)} ; {w2}) is not a mechanism transition")
+
+
+def validate_history(ets: EpistemicTransitionSystem, h: History) -> list[int]:
+    """The moves ``h`` steps along, each an index into its state's
+    successors; InvalidHistoryError unless ``h`` is a history of ``ets``.
+
+    Each step is matched by its profile's votes and its target, so a
+    history built with profile objects other than the system's own has the
+    same moves as the parsed one.
+    """
     for w in h.states:
         if w not in ets.states:
             raise InvalidHistoryError(f"undeclared state {w!r} in history")
-    for w1, profile, w2 in zip(h.states, h.profiles, h.states[1:]):
-        if (w1, profile, w2) not in ets.mechanism:
-            raise InvalidHistoryError(
-                f"({w1} ; {profile} ; {w2}) is not a mechanism transition")
+    return [_move(ets, w1, s.votes, w2)
+            for w1, s, w2 in zip(h.states, h.profiles, h.states[1:])]
 
 
 def extensions(ets: EpistemicTransitionSystem, h: History) -> tuple[History, ...]:
@@ -398,8 +402,9 @@ def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
 
     The whole literal is read before any step is checked.  The history then
     starts at the level-0 history of its first state and steps along the
-    system's own moves, matched by votes and target; so it holds the
-    system's profile objects, and the first step that is no move raises.
+    system's own moves, each found by :func:`validate_history`'s rule; so it
+    holds the system's profile objects, and the first step that is no move
+    raises.
     """
     parts = [part.strip() for part in text.split(";")]
     if not parts or len(parts) % 2 == 0:
@@ -424,14 +429,8 @@ def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
             steps.append(tuple(sorted(votes.items())))
     history = next(g for g in histories_of_length(ets, 0) if g.head == states[0])
     for votes, w in zip(steps, states[1:]):
-        for move in ets.successors(history.head):
-            if move[1] == w and move[0].votes == votes:
-                history = history.extend(*move)
-                break
-        else:
-            raise InvalidHistoryError(
-                f"({history.head} ; {Profile(votes)} ; {w}) is not a mechanism "
-                f"transition")
+        moves = ets._succ[history.head]
+        history = history.extend(*moves[_move(ets, history.head, votes, w)])
     return history
 
 
@@ -511,6 +510,7 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
     state_set, agent_set, choice_set = set(states), set(agents), set(choices)
 
     indist_blocks: dict[str, list[list[str]]] = {a: [] for a in agents}
+    placed: dict[str, set[str]] = {a: set() for a in agents}  # states in a block
     valuation: dict[str, set[str]] = {}
     mechanism: list[tuple[str, Profile, str]] = []
     expansions: dict[str, list[Profile]] = {}  # each distinct pattern once
@@ -548,6 +548,11 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
                 for w in block:
                     if w not in state_set:
                         raise ModelFormatError(f"undeclared state {w!r}", line_no)
+                overlap = placed[agent].intersection(block)
+                if overlap:
+                    raise ModelFormatError(f"state {min(overlap)!r} appears in two indist "
+                                           f"blocks for agent {agent!r}", line_no)
+                placed[agent].update(block)
                 indist_blocks[agent].append(block)
         elif keyword == "valuation":
             head, colon, body = tail[0].partition(":")
@@ -569,7 +574,6 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
         agents, states, choices, indist_blocks, mechanism, valuation)
     if require_regular:
         violations = check_regular(ets)
-        ets._regular = not violations
         if violations:
             w, profile = violations[0]
             raise ModelFormatError(

@@ -23,6 +23,7 @@ from knowhow.harness import (
 from knowhow.system import (
     InvalidHistoryError, Profile, History, hist_indist, load_system,
     parse_history, histories_of_length, profile_agrees, state_indist,
+    validate_history,
 )
 
 A = frozenset({"a"})
@@ -200,6 +201,30 @@ def test_histories_are_validated(t1):
         evaluate(t1, foreign, parse("p"))
 
 
+@pytest.mark.parametrize("text", ["K{a} p", "H{a} p", "H{a} H{a} p", "!K{a} !p"])
+def test_a_history_built_in_code_steps_as_the_parsed_one(t1, text):
+    # the moves are found by votes and target, whatever the profile objects
+    parsed = parse_history(t1, "w0 ; a=1 ; w1 ; a=0 ; w2")
+    built = History(("w0", "w1", "w2"), (Profile.of({"a": "1"}), Profile.of({"a": "0"})))
+    assert built == parsed and built.profiles[0] is not parsed.profiles[0]
+    assert validate_history(t1, built) == validate_history(t1, parsed)
+    f = parse(text)
+    for decide in (evaluate, evaluate_naive):
+        assert decide(t1, built, f) == decide(t1, parsed, f)
+
+
+def test_a_step_that_is_no_move_raises_one_error_everywhere(t1):
+    message = "(w0 ; a=1 ; w2) is not a mechanism transition"
+    with pytest.raises(InvalidHistoryError) as err:
+        parse_history(t1, "w0 ; a=1 ; w2")
+    assert str(err.value) == message
+    h = History(("w0", "w2"), (Profile.of({"a": "1"}),))
+    for decide in (evaluate, evaluate_naive):
+        with pytest.raises(InvalidHistoryError) as err:
+            decide(t1, h, parse("p"))
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text", ["K{zz} p", "H{zz} p", "K{a,zz} p",
                                   "p -> !H{a} K{zz} q"])
 def test_a_formula_naming_an_undeclared_agent_is_refused(t1, text):
@@ -248,9 +273,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _view_systems(monkeypatch):
-    """Random systems of 1-3 agents, and the benchmark's models as loaded,
-    whose moves hold the loader's profile objects, not the system's
-    ``complete_profiles``."""
+    """Random systems of 1-3 agents, and the benchmark's models as loaded."""
     for agents in (1, 2, 3):
         for seed in (1, 2):
             yield gen_system(GenParams(seed=seed, num_states=3, num_agents=agents,
@@ -265,13 +288,15 @@ def _view_systems(monkeypatch):
 
 
 def test_views_number_moves_as_the_relations_tell_them_apart(monkeypatch):
-    foreign = 0  # systems whose moves hold other objects than complete_profiles
+    systems = 0
     for ets in _view_systems(monkeypatch):
+        systems += 1
         states = sorted(ets.states)
         moves = [(w, i, s, v) for w in states
                  for i, (s, v) in enumerate(ets.successors(w))]
-        foreign += any(all(s is not t for t in ets.complete_profiles)
-                       for _, _, s, _ in moves)
+        # every move holds one of the system's own complete profile objects
+        own = set(map(id, ets.complete_profiles))
+        assert all(id(s) in own for _, _, s, _ in moves)
         for coalition in _coalitions(ets.agents, include_empty=False):
             view = checker._View(ets, states, coalition)
             assert view.profiles == ets.profiles_over(coalition)
@@ -286,7 +311,7 @@ def test_views_number_moves_as_the_relations_tell_them_apart(monkeypatch):
                          and state_indist(ets, v1, v2, coalition))
                 assert (view.sees[w1][i1] == view.sees[w2][i2]) == alike, (
                     coalition, (w1, s1, v1), (w2, s2, v2))
-    assert foreign >= 32 + 64  # every loaded model at least
+    assert systems == 6 + 32 + 64  # generated, then every loaded model
 
 
 def test_evaluations_sharing_a_system_agree_with_fresh_systems():
@@ -735,10 +760,12 @@ def test_index_partition_equals_pairwise_hist_indist(params):
             for n in range(4):
                 level = histories_of_length(ets, n)
                 for h in level:
-                    brute = dict.fromkeys(types.of(x, g) for g in level
-                                          if hist_indist(ets, h, g, coalition))
+                    brute = dict.fromkeys(
+                        types.of(x, g.states[0], validate_history(ets, g))
+                        for g in level if hist_indist(ets, h, g, coalition))
                     expected = tuple(brute) if walks else tuple(sorted(brute))
-                    assert types.types[types.of(f, h)][1][f] == expected
+                    t = types.of(f, h.states[0], validate_history(ets, h))
+                    assert types.types[t][1][f] == expected
 
 
 @pytest.mark.parametrize(

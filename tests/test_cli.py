@@ -156,6 +156,30 @@ def test_check_scans_the_model_for_regularity_once(t1_path, capsys, monkeypatch)
     assert len(scans) == 1
 
 
+@pytest.mark.parametrize("formula,horizon", [("H{a} p", []), ("K{} (p -> p)", ["--horizon", "3"])])
+def test_check_compares_and_hashes_no_profile(t1_path, capsys, monkeypatch, formula, horizon):
+    # moves hold the system's own profiles, and each step is found by votes
+    calls = []
+
+    def counting(name):
+        method = getattr(system.Profile, name)
+
+        def counted(*args):
+            calls.append(name)
+            return method(*args)
+        return counted
+
+    for name in ("__eq__", "__hash__"):
+        monkeypatch.setattr(system.Profile, name, counting(name))
+    code = main(["check", "--system", t1_path, "--history", "w0 ; a=1 ; w1",
+                 "--formula", formula, *horizon])
+    assert code == 0 and "verdict: True" in capsys.readouterr().out
+    assert calls == []
+    # the counters count
+    assert system.Profile(()) == system.Profile(()) and hash(system.Profile(())) == hash(())
+    assert calls == ["__eq__", "__hash__"]
+
+
 def test_check_scans_a_model_that_is_not_regular_once(tmp_path, capsys, monkeypatch):
     scans = []
     scan = system.check_regular
@@ -420,6 +444,11 @@ _MODEL = ("agents: a b\nchoices: 0 1\nstates: w0 w1\n"
     (_MODEL + "indist a w0 w1\n", "line 7: expected ':' in indist line"),
     (_MODEL + "indist a: w0 w1 |\n", "line 7: empty indist block"),
     (_MODEL + "indist a: w0 w9\n", "line 7: undeclared state 'w9'"),
+    # a repeat within one block is no overlap; one in another block is
+    (_MODEL + "indist a: w0 w0 w1 | w0\n",
+     "line 7: state 'w0' appears in two indist blocks for agent 'a'"),
+    (_MODEL + "indist a: w0 w1\nindist b: w0\nindist a: w1\n",
+     "line 9: state 'w1' appears in two indist blocks for agent 'a'"),
     (_MODEL + "valuation q w0\n", "line 7: expected ':' in valuation line"),
     (_MODEL + "valuation 1q: w0\n", "line 7: bad proposition token '1q'"),
     (_MODEL + "trans w0 w1\n", "line 7: expected 'trans STATE [pattern] STATE'"),

@@ -58,7 +58,13 @@ trans w2 [] w2
 """
     with pytest.raises(ModelFormatError) as err:
         load_system(text)
-    assert "w1" in str(err.value)
+    assert str(err.value) == "line 5: state 'w1' appears in two indist blocks for agent 'a'"
+    # a system built in code is checked by its constructor, without a line
+    with pytest.raises(ModelFormatError) as err:
+        EpistemicTransitionSystem(["a"], ["w0", "w1", "w2"], ["0"],
+                                  {"a": [["w0", "w1"], ["w2", "w1"]]}, [], {})
+    assert str(err.value) == "state 'w1' appears in two indist blocks for agent 'a'"
+    assert err.value.line_no is None
 
 
 def test_load_rejects_undeclared_names():
@@ -376,9 +382,12 @@ def test_successors_follow_profile_order_whatever_the_mechanism_order():
     rng.shuffle(mechanism)
     ets = EpistemicTransitionSystem(agents, states, choices, {}, mechanism, {})
     assert ets.mechanism == set(listed)
+    own = set(map(id, ets.complete_profiles))
     for w in states:
         assert ets.successors(w) == tuple(sorted(
             {(s, w2) for w1, s, w2 in listed if w1 == w}, key=_move_key))
+        # neither the listed objects nor their copies: the system's own
+        assert all(id(s) in own for s, _ in ets.successors(w))
 
 
 def test_a_parsed_anchor_holds_the_systems_own_profiles(t2):
