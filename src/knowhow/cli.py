@@ -5,6 +5,10 @@ Subcommands: ``check`` evaluates a formula at a history of a model file,
 suites, ``examples`` replays the bundled claim lists, and ``validate`` runs
 well-formedness and regularity checks on a model file.
 
+The one command-line grammar is :func:`build_parser`'s, built once per
+process; :func:`_parse` parses each line once, with its subcommand's own
+parser where it can.
+
 Exit status: 0 for True/ok/clean, 1 for False/failing line/violations,
 2 for usage errors, bad input (any ``InputError``) and unreadable files.
 """
@@ -160,13 +164,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: building it costs more than most checks
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # built once per process: building it costs more than most checks; the
+    # second item maps each subcommand name to its own parser
+    parser = build_parser()
+    return parser, next(a.choices for a in parser._actions if a.dest == "command")
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The Namespace ``build_parser().parse_args(argv)`` gives, parsed once.
+
+    A line that starts with a subcommand name is parsed by that
+    subcommand's parser alone.  An empty line, any other first word, a
+    ``--`` anywhere and words the subcommand leaves over go through the
+    whole parser, so every help text, error and exit code is the one
+    grammar's.
+    """
+    parser, commands = _parser()
+    sub = commands.get(argv[0]) if argv and "--" not in argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit status; see :func:`_parse` for how it is parsed."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
     # named here, not in the shared parser, so each call runs the handler
     # the module holds at that moment
     handlers = {"check": _cmd_check, "prove": _cmd_prove, "fuzz": _cmd_fuzz,

@@ -441,7 +441,8 @@ def _level_table(ets, length: int, columns: dict) -> tuple[list, list, list]:
     The parent indexes the level below, the last profile
     ``ets.complete_profiles`` and the head the sorted states; length 0 has
     no parents and no profiles.  A level lists each parent's extensions in
-    successor order, so the parents are read off the successor counts.
+    successor order, so the parents and last profiles are read off the
+    parents' moves.
     ``columns`` keeps the table under the length for every coalition.
     """
     table = columns.get(length)
@@ -450,10 +451,14 @@ def _level_table(ets, length: int, columns: dict) -> tuple[list, list, list]:
         state_index = {w: i for i, w in enumerate(sorted(ets.states))}
         parent, last = [], []
         if length:
-            profile_index = {s: i for i, s in enumerate(ets.complete_profiles)}
-            parent = [p for p, g in enumerate(histories_of_length(ets, length - 1))
-                      for _ in ets.successors(g.head)]
-            last = [profile_index[h.profiles[-1]] for h in hs]
+            # each state's moves as profile indices, keyed by votes, so no
+            # history's profile is hashed
+            profile_index = {s.votes: i for i, s in enumerate(ets.complete_profiles)}
+            moves = {w: [profile_index[s.votes] for s, _ in ets.successors(w)]
+                     for w in ets.states}
+            below = [moves[g.head] for g in histories_of_length(ets, length - 1)]
+            parent = [p for p, m in enumerate(below) for _ in m]
+            last = [i for m in below for i in m]
         table = columns[length] = (parent, last, [state_index[h.states[-1]] for h in hs])
     return table
 

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -267,6 +268,89 @@ def test_the_parser_is_built_once_per_process(t1_path, tmp_path, capsys,
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
+
+
+CHECK = ["check", "--system", "m.ets", "--history", "w0 ; a=1 ; w1", "--formula", "H{a} p"]
+
+
+@pytest.mark.parametrize("argv", [
+    # one well-formed line per subcommand
+    CHECK, [*CHECK, "--horizon", "3"], ["prove", "f.proof"],
+    ["fuzz"], ["fuzz", "--seed", "1", "--systems", "2", "--json"],
+    ["examples", "t1"], ["validate", "--system", "m.ets"],
+    # --opt=value, abbreviations, order and repeats
+    ["check", "--system=m.ets", "--history=w0", "--formula=p", "--horizon=2"],
+    ["check", "--sys", "m.ets", "--hist", "w0", "--form", "p", "--hor", "1"],
+    ["validate", "--sys=m.ets"], ["fuzz", "--sy", "2", "--j"], ["fuzz", "--s", "1"],
+    ["check", "--formula", "p", "--history", "w0", "--system", "m.ets"],
+    ["check", "--system", "a.ets", *CHECK[1:], "--system", "m.ets"],
+    ["fuzz", "--seed", "1", "--seed", "2", "--depth", "-1"],
+    # help at both levels
+    ["-h"], ["--help"], ["check", "-h"], ["prove", "--help"], ["fuzz", "-h"],
+    ["examples", "--he"], ["validate", "-h", "--bogus"], ["-h", "check"],
+    # empty, unknown subcommands and options
+    [], ["chek", *CHECK[1:]], ["bogus"], ["--bogus", *CHECK], [*CHECK, "--bogus"],
+    [*CHECK, "extra"], ["prove", "f.proof", "g.proof"], ["examples", "t3"],
+    ["--", *CHECK],
+    # missing or malformed values
+    ["check", "--system", "m.ets"], ["check", "--system"], ["validate"], ["prove"],
+    [*CHECK, "--horizon", "x"], ["fuzz", "--json=1"],
+    # -- and values that start with -
+    ["prove", "--", "f.proof"], ["prove", "--", "-f.proof"], [*CHECK[:-1], "--", "p"],
+    [*CHECK[:-1], "-p"], [*CHECK[:-1], "-1"], [*CHECK[:-1], "-h"],
+    [*CHECK[:-1], "--formula=-p"], [*CHECK[:-1], "- p"], ["prove", "-f.proof"],
+])
+def test_one_pass_parse_agrees_with_the_full_parser(capsys, argv):
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as e:
+            result = ("exit", e.code)
+        return result, capsys.readouterr()
+
+    assert outcome(cli._parse) == outcome(cli.build_parser().parse_args)
+
+
+def test_only_a_line_its_subcommand_cannot_take_goes_through_the_full_parser(
+        t1_path, tmp_path, capsys, monkeypatch):
+    parser, _ = cli._parser()
+    calls = []
+    full = parser.parse_known_args
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counting)
+    good = tmp_path / "good.proof"
+    good.write_text(proof_text("how_coalition_widening.proof"))
+    check = ["check", "--system", t1_path, "--history", "w0 ; a=1 ; w1",
+             "--formula", "H{a} p"]
+    for argv, code in [(check, 0), (["prove", str(good)], 0),
+                       (["fuzz", "--seed", "1", "--systems", "1", "--instances", "1"], 0),
+                       (["validate", "--system", t1_path], 0), (["examples", "t1"], 0)]:
+        assert main(argv) == code
+    capsys.readouterr()
+    assert calls == []
+    with pytest.raises(SystemExit) as err:
+        main([*check, "--bogus"])
+    assert err.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == (
+        "knowhow: error: unrecognized arguments: --bogus")
+    assert len(calls) == 1
+    # with no argv, main reads the process's own command line
+    assert main(check) == 0
+    answer = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["knowhow", *check])
+    assert main() == 0
+    assert capsys.readouterr() == answer and "verdict: True\n" in answer.out
+    monkeypatch.setattr(sys, "argv", ["knowhow", *check, "--bogus"])
+    with pytest.raises(SystemExit) as bogus:
+        main()
+    assert bogus.value.code == 2
+    assert capsys.readouterr() == (out, err)
+    assert len(calls) == 2
 
 
 def test_prove_over_the_opaque_cap_is_a_usage_error(tmp_path, capsys):

@@ -20,8 +20,8 @@ from knowhow.harness import (
 )
 from knowhow.proofkit import AxiomName, match_axiom
 from knowhow.system import (
-    MAX_PROFILES, EpistemicTransitionSystem, Profile, check_regular, hist_indist,
-    histories_of_length, profile_agrees, state_indist,
+    MAX_PROFILES, EpistemicTransitionSystem, History, Profile, check_regular,
+    hist_indist, histories_of_length, profile_agrees, state_indist,
 )
 
 
@@ -217,6 +217,42 @@ def test_every_pair_still_reaches_the_relation_under_test(monkeypatch, seed,
     monkeypatch.setattr(harness, "hist_indist", counted)
     lemma_suite(GenParams(seed=seed), num_systems=1)
     assert len(made) == calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_lemma_suite_hashes_no_profile(monkeypatch, seed):
+    # each level's last profiles are read off the parents' moves
+    calls = []
+    method = Profile.__hash__
+
+    def counted(self):
+        calls.append(None)
+        return method(self)
+
+    monkeypatch.setattr(Profile, "__hash__", counted)
+    lemma_suite(GenParams(seed=seed), 1)
+    assert calls == []
+    # the counter counts
+    assert hash(Profile(())) == hash(()) and len(calls) == 1
+
+
+@pytest.mark.parametrize("agents", [1, 2, 3])
+def test_level_tables_index_each_histories_parent_profile_and_head(agents):
+    ets = gen_system(GenParams(seed=5, num_agents=agents, num_states=3))
+    profiles = list(ets.complete_profiles)
+    states = sorted(ets.states)
+    columns = {}
+    for length in range(4):
+        parent, last, head = harness._level_table(ets, length, columns)
+        hs = histories_of_length(ets, length)
+        assert head == [states.index(h.head) for h in hs]
+        if length:
+            below = histories_of_length(ets, length - 1)
+            assert [below[p] for p in parent] == [
+                History(h.states[:-1], h.profiles[:-1]) for h in hs]
+            assert last == [profiles.index(h.profiles[-1]) for h in hs]
+        else:
+            assert parent == last == []
 
 
 # three agents give seven coalitions, so each agent's signature column is
