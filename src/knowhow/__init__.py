@@ -25,7 +25,7 @@ from .checker import (
     HorizonError, RegularityError, TypeBudgetError, UndeclaredAgentError,
     Verdict, evaluate, evaluate_naive, witness,
 )
-from .fixtures import load_fixture, run_claims
+from .fixtures import load_fixture
 
 
 def _lazy(name: str):
@@ -83,7 +83,7 @@ __all__ = [
     "extensions", "format_formula", "gen_formula", "gen_system", "h_depth",
     "hist_indist", "histories_of_length", "is_tautology",
     "lemma_suite", "load_fixture", "load_system", "match_axiom", "parse",
-    "parse_derivation", "parse_history", "profile_agrees", "run_claims",
+    "parse_derivation", "parse_history", "profile_agrees",
     "soundness_suite", "state_indist", "uses_empty_coalition", "verify",
     "witness",
 ]

@@ -2,8 +2,9 @@
 
 Subcommands: ``check`` evaluates a formula at a history of a model file,
 ``prove`` verifies a derivation file, ``fuzz`` runs the random property
-suites, ``examples`` replays the bundled claim lists, and ``validate`` runs
-well-formedness and regularity checks on a model file.
+suites, ``examples`` answers a bundled claim list's checks as ``check``
+would, and ``validate`` runs well-formedness and regularity checks on a
+model file.
 
 The one command-line grammar is :func:`build_parser`'s, built once per
 process; :func:`_parse` parses each line once, with its subcommand's own
@@ -23,7 +24,7 @@ import sys
 from . import harness, proofkit
 from .checker import evaluate, witness
 from .formula import InputError, h_depth, parse, uses_empty_coalition, How
-from .fixtures import FIXTURES, load_fixture, run_claims
+from .fixtures import FIXTURES, fixture_text, load_fixture, read_claims
 from .system import check_regular, load_system, parse_history
 
 
@@ -43,15 +44,22 @@ def _read(path: str) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
-def _cmd_check(args) -> int:
-    ets = load_system(_read(args.system))
-    h = parse_history(ets, args.history)
-    f = parse(args.formula)
-    horizon, empty = args.horizon, uses_empty_coalition(f)
-    if horizon is None and empty:
+def _query(ets, literal: str, text: str, horizon: int | None = None):
+    """The history, formula and verdict of one query, as ``check`` answers
+    it: an ``H`` goal's verdict carries its witness."""
+    h = parse_history(ets, literal)
+    f = parse(text)
+    if horizon is None and uses_empty_coalition(f):
         horizon = h.length + h_depth(f) + 2  # never silently bounded; see report
     verdict = (witness(ets, h, f.coalition, f.sub, horizon) if isinstance(f, How)
                else evaluate(ets, h, f, horizon))
+    return h, f, verdict
+
+
+def _cmd_check(args) -> int:
+    h, f, verdict = _query(load_system(_read(args.system)), args.history,
+                           args.formula, args.horizon)
+    empty = uses_empty_coalition(f)
     print(f"formula: {f}")
     print(f"history: {h}")
     print(f"verdict: {verdict.value}")
@@ -79,15 +87,16 @@ def _cmd_prove(args) -> int:
 
 def _cmd_examples(args) -> int:
     ets = load_fixture(args.fixture)
-    claims = FIXTURES[args.fixture][1]
+    claims = read_claims(fixture_text(args.fixture, ".claims"))
     passed = 0
-    for claim, results in run_claims(ets, claims):
-        ok = all(verdict.value == expected
-                 for (_, _, verdict), (_, _, expected) in zip(results, claim.checks))
+    for label, checks in claims:
+        results = [(*_query(ets, literal, text), expected)
+                   for literal, text, expected in checks]
+        ok = all(verdict.value == expected for _, _, verdict, expected in results)
         passed += ok
         detail = "; ".join(
-            f"({h}) |- {f} -> {verdict.value}" for h, f, verdict in results)
-        print(f"{'PASS' if ok else 'FAIL'}  {claim.label}: {detail}")
+            f"({h}) |- {f} -> {verdict.value}" for h, f, verdict, _ in results)
+        print(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}")
     print(f"{passed}/{len(claims)} claims pass")
     return 0 if passed == len(claims) else 1
 

@@ -11,7 +11,7 @@ from knowhow.formula import (
     Atom, Falsum, How, Implies, Not, format_formula, parse,
     uses_empty_coalition,
 )
-from knowhow.fixtures import proof_text
+from knowhow.fixtures import fixture_text, proof_text, read_claims
 from knowhow.harness import (
     GenParams, gen_formula, gen_system, lemma_suite, soundness_suite,
 )
@@ -30,24 +30,20 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-T1_CLAIMS = [
-    ("w2", "K{a} p", False),
-    ("w1 ; a=0 ; w2", "K{a} p", False),
-    ("w0 ; a=1 ; w1 ; a=0 ; w2", "K{a} p", True),
-    ("w1", "H{a} p", False),
-    ("w1'", "H{a} p", False),
-    ("w0 ; a=1 ; w1", "H{a} p", True),
-    ("w0", "H{a} H{a} p", True),
-]
+def claim_checks(name):
+    """Every check of a bundled claim list, as (literal, formula, expected)."""
+    return [check for _, checks in read_claims(fixture_text(name, ".claims"))
+            for check in checks]
 
 
 def test_criterion_1_t1_regression(t1):
+    checks = claim_checks("t1")
     start = time.perf_counter()
     outcomes = [
         evaluate(t1, parse_history(t1, literal), parse(text)).value is expected
-        for literal, text, expected in T1_CLAIMS]
+        for literal, text, expected in checks]
     elapsed = time.perf_counter() - start
-    for literal, text, expected in T1_CLAIMS:
+    for literal, text, expected in checks:
         assert evaluate_naive(t1, parse_history(t1, literal), parse(text)).value \
             is expected
     report("criterion 1 (bundled six-state example, exact)",
@@ -56,13 +52,11 @@ def test_criterion_1_t1_regression(t1):
 
 
 def test_criterion_2_t2_regression(t2):
-    claims = [("w0", "H{a,b} p", True),
-              ("w0", "H{a} p", False),
-              ("w0", "H{b} p", False)]
+    checks = claim_checks("t2")
     start = time.perf_counter()
     outcomes = [
         evaluate(t2, parse_history(t2, literal), parse(text)).value is expected
-        for literal, text, expected in claims]
+        for literal, text, expected in checks]
     elapsed = time.perf_counter() - start
     report("criterion 2 (bundled voting example, exact)",
            all(outcomes) and elapsed < 1.0,

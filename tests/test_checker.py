@@ -12,6 +12,7 @@ from knowhow.checker import (
     HorizonError, RegularityError, TypeBudgetError, UndeclaredAgentError,
     Verdict, evaluate, evaluate_naive, witness,
 )
+from knowhow.fixtures import fixture_text, read_claims
 from knowhow.formula import (
     MAX_NESTING, Atom, How, Implies, Know, NestingError, Not, h_depth, parse,
     uses_empty_coalition,
@@ -29,18 +30,13 @@ from knowhow.system import (
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
 
-T1_CLAIMS = [
-    ("w2", "K{a} p", False),
-    ("w1 ; a=0 ; w2", "K{a} p", False),
-    ("w0 ; a=1 ; w1 ; a=0 ; w2", "K{a} p", True),
-    ("w1", "H{a} p", False),
-    ("w1'", "H{a} p", False),
-    ("w0 ; a=1 ; w1", "H{a} p", True),
-    ("w0", "H{a} H{a} p", True),
-]
+def _checks(name):
+    """Every check of a bundled claim list, as (literal, formula, expected)."""
+    return [check for _, checks in read_claims(fixture_text(name, ".claims"))
+            for check in checks]
 
 
-@pytest.mark.parametrize("literal,text,expected", T1_CLAIMS)
+@pytest.mark.parametrize("literal,text,expected", _checks("t1"))
 def test_t1_claims_on_both_evaluators(t1, literal, text, expected):
     h = parse_history(t1, literal)
     f = parse(text)
@@ -48,11 +44,7 @@ def test_t1_claims_on_both_evaluators(t1, literal, text, expected):
     assert evaluate_naive(t1, h, f).value is expected
 
 
-@pytest.mark.parametrize("literal,text,expected", [
-    ("w0", "H{a,b} p", True),
-    ("w0", "H{a} p", False),
-    ("w0", "H{b} p", False),
-])
+@pytest.mark.parametrize("literal,text,expected", _checks("t2"))
 def test_t2_claims_on_both_evaluators(t2, literal, text, expected):
     h = parse_history(t2, literal)
     f = parse(text)
@@ -223,6 +215,13 @@ def test_a_step_that_is_no_move_raises_one_error_everywhere(t1):
         with pytest.raises(InvalidHistoryError) as err:
             decide(t1, h, parse("p"))
         assert str(err.value) == message
+
+
+def test_a_history_through_an_undeclared_state_is_refused(t1):
+    for decide in (evaluate, evaluate_naive):
+        with pytest.raises(InvalidHistoryError) as err:
+            decide(t1, History(("zz",), ()), parse("p"))
+        assert str(err.value) == "undeclared state 'zz' in history"
 
 
 @pytest.mark.parametrize("text", ["K{zz} p", "H{zz} p", "K{a,zz} p",

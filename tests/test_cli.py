@@ -9,9 +9,7 @@ import pytest
 from knowhow import checker, cli, harness, system
 from knowhow import formula as formula_module
 from knowhow.cli import main
-from knowhow.fixtures import (
-    FIXTURES, Claim, fixture_text, load_fixture, proof_text, run_claims,
-)
+from knowhow.fixtures import fixture_text, proof_text, read_claims
 from knowhow.formula import MAX_NESTING, parse
 from knowhow.proofkit import MAX_OPAQUE
 from knowhow.system import MAX_PROFILES
@@ -243,6 +241,13 @@ def test_prove_ok_and_failing(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().out
 
 
+def test_a_necessitation_of_line_0_fails_at_its_line(tmp_path, capsys):
+    proof = tmp_path / "zero.proof"
+    proof.write_text("lines:\n  1: K{a} (p -> p)    nec{a} 0\ngoal: K{a} (p -> p)\n")
+    assert main(["prove", str(proof)]) == 1
+    assert capsys.readouterr() == ("line 1: bad line reference 0\n", "")
+
+
 def test_the_parser_is_built_once_per_process(t1_path, tmp_path, capsys,
                                              monkeypatch):
     built = []
@@ -393,23 +398,57 @@ def test_examples_commands(capsys):
         assert capsys.readouterr() == (expected, "")
 
 
+def test_the_bundled_claim_lists_read_back_whole():
+    for name, claims, checks in (("t1", 6, 7), ("t2", 3, 3)):
+        read = read_claims(fixture_text(name, ".claims"))
+        assert (len(read), sum(len(c) for _, c in read)) == (claims, checks)
+    # one claim may pin a formula at several histories
+    assert read_claims(fixture_text("t1", ".claims"))[3][1] == [
+        ("w1", "H{a} p", False), ("w1'", "H{a} p", False)]
+
+
+def _examples_with_claims(capsys, monkeypatch, text):
+    """Exit code and output of ``knowhow examples t1`` over the claim list ``text``."""
+    monkeypatch.setattr(cli, "fixture_text", lambda name, suffix: text)
+    code = main(["examples", "t1"])
+    return code, capsys.readouterr()
+
+
 def test_examples_report_a_failing_claim(capsys, monkeypatch):
     # a claim whose expected value is wrong fails, and so does the run
-    claims = (
-        Claim("the run to w1 forces p", (("w0 ; a=1 ; w1", "H{a} p", True),)),
-        Claim("wrongly expected to fail", (("w0 ; a=1 ; w1", "H{a} p", False),
-                                           ("w2", "K{a} p", False))),
-    )
-    monkeypatch.setitem(FIXTURES, "t1", ("t1.ets", claims))
-    assert main(["examples", "t1"]) == 1
-    assert capsys.readouterr().out == (
+    code, (out, err) = _examples_with_claims(capsys, monkeypatch, (
+        "claim: the run to w1 forces p\n"
+        "  w0 ; a=1 ; w1 | H{a} p | true\n"
+        "claim: wrongly expected to fail   # comments end a line\n"
+        "  w0 ; a=1 ; w1 | H{a} p | false\n"
+        "\n"
+        "  w2 | K{a} p | false\n"))
+    assert (code, err) == (1, "")
+    assert out == (
         "PASS  the run to w1 forces p: (w0 ; a=1 ; w1) |- H{a} p -> True\n"
         "FAIL  wrongly expected to fail: (w0 ; a=1 ; w1) |- H{a} p -> True; "
         "(w2) |- K{a} p -> False\n"
         "1/2 claims pass\n")
-    (_, [(h, f, verdict)]), (_, results) = run_claims(load_fixture("t1"), claims)
-    assert (str(h), str(f), verdict.value) == ("w0 ; a=1 ; w1", "H{a} p", True)
-    assert [v.value for _, _, v in results] == [True, False]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("claim: x\n  w0 | p\n", "line 2: expected 'history | formula | true|false'"),
+    ("claim: x\n  w0 | p | true | false\n",
+     "line 2: expected 'history | formula | true|false'"),
+    ("claim: x\n  w0 |  | true\n", "line 2: expected 'history | formula | true|false'"),
+    ("claim: x\n\n  w0 | p | yes\n", "line 3: expected value 'yes' is not true or false"),
+    ("claim: x\n  w0 | p | True\n", "line 2: expected value 'True' is not true or false"),
+    ("# header\n  w0 | p | true\n", "line 2: check before any 'claim:' line"),
+    ("claim:   \n  w0 | p | true\n", "line 1: claim has no label"),
+    ("claim: x\nclaim: y\n  w0 | p | true\n", "line 1: claim 'x' has no checks"),
+    ("claim: x\n  w0 | p | true\nclaim: y\n", "line 3: claim 'y' has no checks"),
+], ids=["missing-field", "extra-field", "empty-field", "yes", "capitalised",
+        "no-claim", "no-label", "no-checks", "last-no-checks"])
+def test_a_malformed_claim_line_is_a_usage_error(capsys, monkeypatch, text, message):
+    with pytest.raises(formula_module.InputError, match=re.escape(message)):
+        read_claims(text)
+    code, (out, err) = _examples_with_claims(capsys, monkeypatch, text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -654,6 +693,83 @@ def test_fuzz_json_names_the_guard_rejections_it_fails_on(capsys, monkeypatch):
     for r in rejected:
         assert r.keys() == {"system_seed", "schema", "formula"}
         assert r["system_seed"] == 0 and parse(r["formula"])
+
+
+# one agent on one state at depth 0: every failure names history s0
+SMALL_FUZZ = ["fuzz", "--agents", "1", "--states", "1", "--depth", "0",
+              "--systems", "1", "--instances", "1"]
+
+
+def _failing_fuzz(capsys):
+    """Exit code and stdout of the small text ``fuzz``, which checks that
+    its reports print as their ``str``."""
+    code = main(SMALL_FUZZ)
+    out, err = capsys.readouterr()
+    params = harness.GenParams(seed=0, num_states=1, num_agents=1, history_depth=0)
+    sound = harness.soundness_suite(params, num_systems=1, num_instances=1)
+    lemmas = harness.lemma_suite(params, num_systems=1)
+    assert (err, out) == ("", f"{sound}\n{lemmas}\n")
+    return code, out.splitlines()
+
+
+def test_fuzz_prints_each_guard_rejection(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "match_axiom", lambda f: frozenset())
+    code, lines = _failing_fuzz(capsys)
+    assert code == 1
+    assert lines == [
+        "soundness: seed=0 systems=1 instances=9 bounded=0 violations=0",
+        "  GUARD seed=0 Truth: K{a0} K{a0} q -> K{a0} q",
+        "  GUARD seed=0 NegativeIntrospection: !K{a0} p -> K{a0} !K{a0} p",
+        "  GUARD seed=0 Distributivity: K{a0} (p -> p) -> K{a0} p -> K{a0} p",
+        "  GUARD seed=0 Monotonicity: K{a0} (q -> q) -> K{a0} (q -> q)",
+        "  GUARD seed=0 StrategicPositiveIntrospection: H{a0} q -> K{a0} H{a0} q",
+        "  GUARD seed=0 Cooperation: H{} (p -> q) -> H{a0} p -> H{a0} q",
+        "  GUARD seed=0 EmptyCoalition: K{} K{a0} p -> H{} K{a0} p",
+        "  GUARD seed=0 PerfectRecall: H{a0} H{a0} q -> H{a0} K{a0} H{a0} q",
+        "  GUARD seed=0 UnachievabilityOfFalsehood: !H{a0} false",
+        "lemmas: seed=0 systems=1 relation_checks=12 property_checks=40 failures=0"]
+
+
+def test_fuzz_prints_each_violation_and_failing_law(capsys, monkeypatch):
+    # both evaluators refute everything, so the oracle confirms each False
+    monkeypatch.setattr(harness, "evaluate", lambda *args: checker.Verdict(False))
+    monkeypatch.setattr(harness, "evaluate_naive", lambda *args: checker.Verdict(False))
+    code, lines = _failing_fuzz(capsys)
+    assert code == 1
+    assert lines[:15] == [
+        "soundness: seed=0 systems=1 instances=9 bounded=0 violations=9",
+        "  VIOLATION seed=0 Truth: K{a0} K{a0} q -> K{a0} q at (s0)",
+        "  VIOLATION seed=0 NegativeIntrospection: !K{a0} p -> K{a0} !K{a0} p at (s0)",
+        "  VIOLATION seed=0 Distributivity: K{a0} (p -> p) -> K{a0} p -> K{a0} p at (s0)",
+        "  VIOLATION seed=0 Monotonicity: K{a0} (q -> q) -> K{a0} (q -> q) at (s0)",
+        "  VIOLATION seed=0 StrategicPositiveIntrospection: H{a0} q -> K{a0} H{a0} q "
+        "at (s0)",
+        "  VIOLATION seed=0 Cooperation: H{} (p -> q) -> H{a0} p -> H{a0} q at (s0)",
+        "  VIOLATION seed=0 EmptyCoalition: K{} K{a0} p -> H{} K{a0} p at (s0)",
+        "  VIOLATION seed=0 PerfectRecall: H{a0} H{a0} q -> H{a0} K{a0} H{a0} q at (s0)",
+        "  VIOLATION seed=0 UnachievabilityOfFalsehood: !H{a0} false at (s0)",
+        "lemmas: seed=0 systems=1 relation_checks=12 property_checks=40 failures=40",
+        "  FAILURE system 0: strategic positive introspection fails: "
+        "H{a0} q -> K{a0} H{a0} q at (s0)",
+        "  FAILURE system 0: strategic negative introspection fails: "
+        "!H{a0} q -> K{a0} !H{a0} q at (s0)",
+        "  FAILURE system 0: know-how widens to supersets fails: "
+        "H{a0} q -> H{a0} q at (s0)",
+        "  FAILURE system 0: perfect recall fails: H{a0} q -> H{a0} K{a0} q at (s0)"]
+    assert len(lines) == 51
+    assert all(re.fullmatch(r"  FAILURE system 0: [a-z -]+ fails: .+ at \(s0\)", line)
+               for line in lines[11:]), lines
+
+
+def test_fuzz_prints_an_empty_coalition_that_distinguishes(capsys, monkeypatch):
+    related = harness.hist_indist
+    monkeypatch.setattr(harness, "hist_indist",
+                        lambda ets, h1, h2, c: bool(c) and related(ets, h1, h2, c))
+    code, lines = _failing_fuzz(capsys)
+    assert code == 1
+    assert lines[-2:] == [
+        "lemmas: seed=0 systems=1 relation_checks=12 property_checks=40 failures=1",
+        "  FAILURE system 0: empty coalition distinguished two histories"]
 
 
 @pytest.mark.parametrize("flag,value", [

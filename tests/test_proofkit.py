@@ -8,8 +8,8 @@ from knowhow import formula as formula_module
 from knowhow.formula import TOP, Atom, Falsum, Implies, Know, How, Not, parse
 from knowhow.fixtures import proof_text
 from knowhow.proofkit import (
-    AxiomInstance, AxiomName, Derivation, Hypothesis, Line, ModusPonens,
-    MAX_OPAQUE, Necessitation, OpaqueLimitError, ProofFormatError,
+    AxiomInstance, AxiomName, Derivation, Hypothesis, Justification, Line,
+    ModusPonens, MAX_OPAQUE, Necessitation, OpaqueLimitError, ProofFormatError,
     StrategicNecessitation, Tautology,
     derive_k_superdistributivity_instance, derive_superdistributivity_instance,
     format_derivation, is_tautology, match_axiom, parse_derivation, verify,
@@ -298,6 +298,28 @@ def test_verify_diagnoses_bad_references_and_mismatches():
     d = Derivation((), (Line(parse("p -> p"), Tautology()),), parse("q -> q"))
     r = verify(d)
     assert not r.ok and "goal" in r.reason
+
+
+class _Foreign(Justification):
+    """A justification ``verify`` does not know."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "_Foreign()"
+
+
+@pytest.mark.parametrize("derivation, message", [
+    (Derivation((), (), parse("p -> p")), "derivation has no lines"),
+    (Derivation((("h1", Atom("p")),), (Line(Atom("p"), Hypothesis(1, "h2")),),
+                Atom("p")),
+     "line 1: unknown hypothesis 'h2'"),
+    (Derivation((), (Line(parse("p -> p"), _Foreign()),), parse("p -> p")),
+     "line 1: unknown justification _Foreign()"),
+], ids=["no-lines", "hypothesis-index", "foreign-justification"])
+def test_verify_refuses_derivations_built_in_code(derivation, message):
+    result = verify(derivation)
+    assert (result.ok, str(result)) == (False, message)
 
 
 def test_verify_checks_necessitation_shape_and_mode():

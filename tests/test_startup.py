@@ -38,14 +38,14 @@ HOMES = {
                "match_axiom", "parse_derivation", "verify"),
     harness: ("GenParams", "gen_formula", "gen_system", "lemma_suite",
               "soundness_suite"),
-    fixtures: ("load_fixture", "run_claims"),
+    fixtures: ("load_fixture",),
 }
 
 
 def test_every_public_name_is_its_home_modules_object():
     homes = {name: module for module, names in HOMES.items() for name in names}
     assert sorted(homes) == sorted(knowhow.__all__)
-    assert len(knowhow.__all__) == 52
+    assert len(knowhow.__all__) == 51
     for name, module in homes.items():
         assert getattr(knowhow, name) is getattr(module, name), name
 

@@ -67,6 +67,25 @@ trans w2 [] w2
     assert err.value.line_no is None
 
 
+@pytest.mark.parametrize("agents, states, choices, indist, mechanism, valuation, message", [
+    ([], ["w0"], ["0"], {}, [], {}, "system needs at least one agent"),
+    (["a"], [], ["0"], {}, [], {}, "system needs at least one state"),
+    (["a"], ["w0"], [], {}, [], {}, "system needs at least one choice"),
+    (["a"], ["w0"], ["0"], {"a": [["w0", "zz"]]}, [], {},
+     "indist block for 'a' names undeclared state 'zz'"),
+    (["a"], ["w0"], ["0"], {}, [("w0", Profile.of({"a": "0"}), "zz")], {},
+     "transition names undeclared state 'zz'"),
+    (["a"], ["w0"], ["0"], {}, [], {"p": ["w0", "zz"]},
+     "valuation of 'p' names undeclared state 'zz'"),
+], ids=["no-agent", "no-state", "no-choice", "indist-state", "transition-state",
+        "valuation-state"])
+def test_a_system_built_in_code_is_checked_by_its_constructor(
+        agents, states, choices, indist, mechanism, valuation, message):
+    with pytest.raises(ModelFormatError) as err:
+        EpistemicTransitionSystem(agents, states, choices, indist, mechanism, valuation)
+    assert (str(err.value), err.value.line_no) == (message, None)
+
+
 def test_load_rejects_undeclared_names():
     base = "agents: a\nchoices: 0\nstates: w0\ntrans w0 [] w0\n"
     with pytest.raises(ModelFormatError):
@@ -126,6 +145,8 @@ def test_state_indist_examples(t1, t2):
     assert state_indist(t1, "w0", "w0'", A)
     assert not state_indist(t2, "w0", "w1", AB)
     assert state_indist(t2, "w0", "w1", frozenset())  # empty conjunction
+    with pytest.raises(KeyError):
+        state_indist(t1, "nope", "w0", A)
     with pytest.raises(KeyError):
         state_indist(t1, "w0", "nope", A)
     with pytest.raises(KeyError):
@@ -296,6 +317,8 @@ def test_history_counts(t1):
     assert len(histories_of_length(t1, 0)) == len(t1.states)
     # oracle: every mechanism triple is exactly one length-1 history
     assert len(histories_of_length(t1, 1)) == len(t1.mechanism) == 12
+    with pytest.raises(ValueError, match="^history length must be non-negative$"):
+        histories_of_length(t1, -1)
 
 
 def test_relations_are_equivalences_on_t1(t1):

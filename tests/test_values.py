@@ -1,5 +1,5 @@
 """Value semantics of the immutable classes on the check path: formula
-nodes, ``Profile``, ``History``, ``Verdict``, ``Claim`` and ``Measures``.
+nodes, ``Profile``, ``History``, ``Verdict`` and ``Measures``.
 
 They are plain ``__slots__`` classes, so these tests pin what the frozen
 dataclasses they replaced gave: structural equality within a class,
@@ -16,7 +16,6 @@ import pytest
 
 import knowhow
 from knowhow.checker import Verdict
-from knowhow.fixtures import Claim
 from knowhow.formula import (
     TOP, Atom, Falsum, How, Implies, Know, Measures, Not, measures, parse,
 )
@@ -31,8 +30,7 @@ NODES = [Falsum(), p, Not(p), Implies(p, q), Know(a, p), How(a, p)]
 
 def _values():
     h = History(("w0", "w1"), (Profile.of({"a": "1"}),))
-    return [*NODES, Profile.of({"a": "0"}), h, Verdict(False, True, 4, h),
-            Claim("label", (("w0", "p", True),))]
+    return [*NODES, Profile.of({"a": "0"}), h, Verdict(False, True, 4, h)]
 
 
 def test_nodes_equal_within_their_class_and_never_across_classes():
@@ -85,21 +83,16 @@ def test_the_repr_names_every_field():
     assert repr(Verdict(True, strategy=Profile.of({"a": "0"}))) == (
         "Verdict(value=True, bounded=False, horizon_used=0, counterexample=None, "
         "strategy=Profile(votes=(('a', '0'),)))")
-    assert repr(Claim("forces p", (("w0 ; a=1 ; w1", "H{a} p", True),))) == (
-        "Claim(label='forces p', checks=(('w0 ; a=1 ; w1', 'H{a} p', True),))")
     assert repr(parse("K{a} !p -> false")) == (
         "Implies(Know({'a'}, Not(Atom('p'))), Falsum())")
 
 
-def test_verdicts_and_claims_compare_and_hash_by_their_fields():
+def test_verdicts_compare_and_hash_by_their_fields():
     v = Verdict(True, strategy=Profile.of({"a": "0"}))
     assert v == Verdict(True, False, 0, None, Profile.of({"a": "0"}))
     assert hash(v) == hash(Verdict(True, strategy=Profile.of({"a": "0"})))
     assert v != Verdict(True) and Verdict(True) != Verdict(True, horizon_used=1)
     assert bool(v) and not Verdict(False)
-    claim = Claim("x", (("w0", "p", True),))
-    assert claim == Claim(label="x", checks=(("w0", "p", True),)) != Claim("y", claim.checks)
-    assert hash(claim) == hash(Claim("x", (("w0", "p", True),)))
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
