@@ -90,8 +90,15 @@ def _cmd_examples(args) -> int:
     claims = read_claims(fixture_text(args.fixture, ".claims"))
     passed = 0
     for label, checks in claims:
-        results = [(*_query(ets, literal, text), expected)
-                   for literal, text, expected in checks]
+        results = []
+        for check in checks:
+            literal, text, expected = check
+            try:
+                h, f, verdict = _query(ets, literal, text)
+            except InputError as e:
+                # a bad check is reported at its line, as a bad model line is
+                raise InputError(str(e), check.line_no) from None
+            results.append((h, f, verdict, expected))
         ok = all(verdict.value == expected for _, _, verdict, expected in results)
         passed += ok
         detail = "; ".join(

@@ -21,12 +21,16 @@ agent's last vote) on the level.  Each part is built once per level and
 shared by every coalition that contains the agent; a signature is the
 tuple of the members' ints.  Each pair is one ``hist_indist`` call of
 O(length x |C|) lookups, so the signatures only choose the pairs and
-never answer one.  Past length 0 a related pair is checked again on its
-decomposition, read from int tables: each history's parent, last profile
-and head, built once per level, and whether two complete profiles agree
-and two states are indistinguishable, built once per coalition.  A
-prefix pair is decided by ``hist_indist`` once per distinct pair per
-level and coalition, however many related pairs share it.
+never answer one; a history paired with itself is asked too.  Past
+length 0 a related pair is checked again on its decomposition, read from
+int tables: each history's parent, last profile and head, built once per
+level, and whether two complete profiles agree and two states are
+indistinguishable, built once per coalition.  A prefix pair is keyed by
+one int and decided by ``hist_indist`` once per distinct pair per level
+and coalition, however many related pairs share it.  A sampled pair
+across buckets is drawn by cheaper ``rng.randrange`` calls that replay
+``rng.sample(reps, 2)`` draw for draw, so the seed picks the same pairs
+as when the suite called ``sample``.
 """
 from __future__ import annotations
 
@@ -153,8 +157,8 @@ def _check_history_count(ets: EpistemicTransitionSystem, depth: int) -> int:
 #: level once per nonempty coalition, plus its coalitions times the pairs of
 #: states and of complete profiles whose relations it compares with their
 #: keys.  On a 2-vCPU Xeon VM (Python 3.11), ``fuzz --systems 1 --instances
-#: 1`` took 3.4-5.6 s at 291,567 (``--seed 1``, three agents, three states,
-#: depth 4), 0.2 s at 262,271 (six agents on one state, depth 0) and 0.7 s at
+#: 1`` took 2.7-3.4 s at 291,567 (``--seed 1``, three agents, three states,
+#: depth 4), 0.2 s at 262,271 (six agents on one state, depth 0) and 0.5 s at
 #: 247,781 (200 states); four agents at the defaults make 348k-634k and seven
 #: on one state 2.1M.  CLI defaults stay under 3.5k.
 MAX_LEMMA_PAIRS = 300_000
@@ -541,6 +545,29 @@ def _signature_column(ets, agent: str, length: int, columns: dict) -> list[int]:
     return column
 
 
+def _sample_two(rng: random.Random, population: list) -> tuple:
+    """``tuple(rng.sample(population, 2))``, drawn by ``rng.randrange`` alone.
+
+    It makes the draws ``sample`` makes, in the same order, so it returns
+    the same pair and leaves ``rng`` in the same state, in a third to a
+    half of the time (Python 3.11).  For up to 21 items CPython's
+    ``sample`` picks from a pool: the second index is drawn below n - 1
+    and stands for the last item when it equals the first.  Past 21 it
+    redraws below n until the index differs.
+    """
+    n = len(population)
+    first = rng.randrange(n)
+    if n <= 21:
+        second = rng.randrange(n - 1)
+        if second == first:
+            second = n - 1
+    else:
+        second = rng.randrange(n)
+        while second == first:
+            second = rng.randrange(n)
+    return population[first], population[second]
+
+
 def _check_history_relation(ets, coalition: Coalition, length: int,
                             rng: random.Random, report: LemmaReport,
                             label: str, columns: dict) -> None:
@@ -552,14 +579,15 @@ def _check_history_relation(ets, coalition: Coalition, length: int,
     ``rng``, depend only on the level and its signature buckets, so
     ``relation_checks`` counts the same pairs however cheap each check is.
     A bucket of b histories gives b^2 pairs when b <= 12 and 2b + 100
-    otherwise; past length 0 a related pair is checked again on its
-    decomposition.  Across buckets there are at most 200 + (number of
-    buckets) pairs.
+    otherwise, 100 of them drawn by ``rng.choice``; past length 0 a
+    related pair is checked again on its decomposition.  Across buckets
+    there are at most 200 + (number of buckets) pairs, the sampled ones
+    drawn by :func:`_sample_two`, which replays ``rng.sample``.
 
     The decomposition reads int tables: each history's parent, last profile
     and head from :func:`_level_table`, and whether each two complete
     profiles agree and each two states are indistinguishable from
-    :func:`_relation_tables`.  A prefix pair is
+    :func:`_relation_tables`.  A prefix pair is keyed by one int and
     decided by ``hist_indist`` when a related pair first needs it, once per
     distinct pair of parents.
     """
@@ -574,50 +602,64 @@ def _check_history_relation(ets, coalition: Coalition, length: int,
     for i, signature in enumerate(signatures):
         buckets.setdefault(signature, []).append(i)
 
-    # decomposition: a related pair of extended histories has a related
-    # prefix pair, last profiles that agree and indistinct heads
-    if length:
-        prev = histories_of_length(ets, length - 1)
-        parent, last, head = _level_table(ets, length, columns)
-        agree, indist = _relation_tables(ets, coalition, columns)
-        prefixes: dict = {}
+    # within a signature bucket everything must be mutually related (this
+    # also gives reflexivity, symmetry, and transitivity on related pairs);
+    # big buckets get representative-vs-all coverage plus a random sample.
+    # Each row pairs one history with a run of others.
+    rows: list = []
+    checks = 0
+    for group in buckets.values():
+        size = len(group)
+        if size <= 12:
+            rows += [(i, group) for i in group]
+            checks += size * size
+        else:
+            rep = group[0]
+            rows.append((rep, group))
+            rows += [(i, (rep,)) for i in group]
+            rows += [(rng.choice(group), (rng.choice(group),)) for _ in range(100)]
+            checks += 2 * size + 100
 
     # the module's relation, read once per call, so a patched one is checked
     relation = hist_indist
     failures = report.failures
-    checks = 0
-    # within a signature bucket everything must be mutually related (this
-    # also gives reflexivity, symmetry, and transitivity on related pairs);
-    # big buckets get representative-vs-all coverage plus a random sample
-    for group in buckets.values():
-        if len(group) <= 12:
-            pairs = [(i, j) for i in group for j in group]
-        else:
-            rep = group[0]
-            pairs = [(rep, i) for i in group] + [(i, rep) for i in group]
-            pairs += [(rng.choice(group), rng.choice(group)) for _ in range(100)]
-        checks += len(pairs)
-        for i, j in pairs:
-            h1, h2 = hs[i], hs[j]
-            if not relation(ets, h1, h2, coalition):
-                failures.append(
-                    f"{label}: {h1} !~ {h2} despite equal signatures "
-                    f"(coalition {format_coalition(coalition)})")
-            elif length:
+    despite = f"despite equal signatures (coalition {format_coalition(coalition)})"
+    if not length:
+        for i, others in rows:
+            h1 = hs[i]
+            for j in others:
+                if not relation(ets, h1, hs[j], coalition):
+                    failures.append(f"{label}: {h1} !~ {hs[j]} {despite}")
+    else:
+        # decomposition: a related pair of extended histories has a related
+        # prefix pair, last profiles that agree and indistinct heads
+        prev = histories_of_length(ets, length - 1)
+        parent, last, head = _level_table(ets, length, columns)
+        agree, indist = _relation_tables(ets, coalition, columns)
+        width = len(prev)
+        prefixes: dict = {}  # parent pair (p1, p2) as p1 * width + p2
+        for i, others in rows:
+            h1, p1 = hs[i], parent[i]
+            row, agree1, indist1 = p1 * width, agree[last[i]], indist[head[i]]
+            for j in others:
+                h2 = hs[j]
+                if not relation(ets, h1, h2, coalition):
+                    failures.append(f"{label}: {h1} !~ {h2} {despite}")
+                    continue
                 checks += 1
-                key = parent[i], parent[j]
-                prefix = prefixes.get(key)
+                p2 = parent[j]
+                prefix = prefixes.get(row + p2)
                 if prefix is None:
-                    prefix = prefixes[key] = relation(ets, prev[key[0]], prev[key[1]],
-                                                      coalition)
-                if not (prefix and agree[last[i]][last[j]] and indist[head[i]][head[j]]):
+                    prefix = prefixes[row + p2] = relation(ets, prev[p1], prev[p2],
+                                                           coalition)
+                if not (prefix and agree1[last[j]] and indist1[head[j]]):
                     failures.append(f"{label}: decomposition fails for {h1} ~ {h2}")
     # across buckets nothing may be related; adjacent representatives
     # exhaustively, plus a random sample of cross pairs
     reps = [group[0] for group in buckets.values()]
     pairs = list(zip(reps, reps[1:]))
     if len(reps) > 1:
-        pairs += [rng.sample(reps, 2) for _ in range(min(200, 4 * len(hs)))]
+        pairs += [_sample_two(rng, reps) for _ in range(min(200, 4 * len(hs)))]
     report.relation_checks += checks + len(pairs)
     for i, j in pairs:
         if relation(ets, hs[i], hs[j], coalition):

@@ -324,7 +324,10 @@ def hist_indist(ets: EpistemicTransitionSystem, h1: History, h2: History,
     every member, and corresponding profiles must agree on every member.
     Each member's block table is read once, and a position whose two
     profiles are the same object is skipped, since a profile agrees with
-    itself.
+    itself.  A history compared with itself (the same object) is related
+    without a compare: each member's block of each of its states is still
+    looked up, in the order the comparison reads them, so the same
+    ``KeyError`` is raised as below.
 
     Nothing is validated up front: the relation reads members' blocks and
     votes in turn, answers False at the first difference, and raises
@@ -338,9 +341,16 @@ def hist_indist(ets: EpistemicTransitionSystem, h1: History, h2: History,
     if not coalition:
         return True
     states1, states2 = h1.states, h2.states
+    blocks = ets._block
+    if h1 is h2:
+        # the loop's lookups in its order, without its compares
+        for agent in coalition:
+            block = blocks[agent]
+            for w in states1:
+                block[w]
+        return True
     if len(states1) != len(states2):
         return False
-    blocks = ets._block
     for agent in coalition:
         block = blocks[agent]
         for w1, w2 in zip(states1, states2):

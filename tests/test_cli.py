@@ -451,6 +451,19 @@ def test_a_malformed_claim_line_is_a_usage_error(capsys, monkeypatch, text, mess
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("text, out, message", [
+    ("claim: demo\n# comment\nw0 | p -> $ | true\n", "",
+     "line 3: unexpected character '$' at offset 5"),
+    # a claim answered before the bad one is still reported
+    ("claim: fine\n  w2 | K{a} p | false\nclaim: bad history\n"
+     "  w2 | p | true\n  w0 ; a=7 ; w1 | p | true\n",
+     "PASS  fine: (w2) |- K{a} p -> False\n", "line 5: undeclared choice '7'"),
+], ids=["formula", "history"])
+def test_examples_name_the_line_of_a_bad_check(capsys, monkeypatch, text, out, message):
+    code, captured = _examples_with_claims(capsys, monkeypatch, text)
+    assert (code, captured.out, captured.err) == (2, out, f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", [
     ["prove", "{path}"], ["check", "--system", "{path}", "--history", "w0",
                           "--formula", "p"], ["validate", "--system", "{path}"]])

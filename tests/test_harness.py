@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -217,6 +218,37 @@ def test_every_pair_still_reaches_the_relation_under_test(monkeypatch, seed,
     monkeypatch.setattr(harness, "hist_indist", counted)
     lemma_suite(GenParams(seed=seed), num_systems=1)
     assert len(made) == calls
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_the_pair_draw_replays_sample(n):
+    # CPython's sample takes its pool branch up to 21 items and its set
+    # branch past them; the replay must draw alike on both, pair and state
+    population = [f"h{i}" for i in range(n)]
+    for seed in range(100):
+        replayed, sampled = random.Random(seed), random.Random(seed)
+        assert list(harness._sample_two(replayed, population)) == \
+            sampled.sample(population, 2)
+        assert replayed.random() == sampled.random()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_self_pairs_still_reach_the_relation_under_test(monkeypatch, seed):
+    # a relation that is not reflexive is caught on every level and
+    # coalition, so no history is taken as related to itself unasked
+    def irreflexive(ets, h1, h2, coalition):
+        return h1 is not h2 and hist_indist(ets, h1, h2, coalition)
+
+    monkeypatch.setattr(harness, "hist_indist", irreflexive)
+    failures = lemma_suite(GenParams(seed=seed), num_systems=1).failures
+    caught = set()
+    for failure in failures:
+        found = re.fullmatch(r"system 0: (.*) !~ \1 despite equal signatures "
+                             r"\(coalition (\{.*\})\)", failure)
+        if found:
+            caught.add((found[1].count(" ; ") // 2, found[2]))
+    assert caught == {(length, coalition) for length in range(4)
+                      for coalition in ("{a0}", "{a1}", "{a0,a1}")}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
