@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 from .formula import (
     Atom, Coalition, Falsum, Formula, How, Implies, Know, Not,
-    FormulaSyntaxError, IDENT_RE, InputError, format_coalition, parse,
+    FormulaSyntaxError, IDENT_RE, InputError, _Record, format_coalition, parse,
 )
 
 
@@ -176,79 +175,110 @@ def is_tautology(f: Formula) -> bool:
 
 
 # --- derivations -----------------------------------------------------------
+#
+# The records below are ``formula._Record`` values, as formula nodes are:
+# each class's ``__slots__`` are its constructor's parameters, in order, and
+# equality, hashing, ``repr`` and pickling go by them.
 
-class Justification:
+class Justification(_Record):
+    """Why a line holds; ``verify`` knows the six subclasses below."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Tautology(Justification):
+    __slots__ = ()
+
     def __str__(self):
         return "taut"
 
 
-@dataclass(frozen=True)
 class AxiomInstance(Justification):
-    name: AxiomName
+    __slots__ = ("name",)
+
+    def __init__(self, name: AxiomName):
+        object.__setattr__(self, "name", name)
 
     def __str__(self):
         return f"axiom {self.name.value}"
 
 
-@dataclass(frozen=True)
 class ModusPonens(Justification):
-    antecedent: int  # line holding x, 1-based
-    implication: int  # line holding x -> y
+    __slots__ = ("antecedent", "implication")
+
+    def __init__(self, antecedent: int, implication: int):
+        _set = object.__setattr__
+        _set(self, "antecedent", antecedent)  # line holding x, 1-based
+        _set(self, "implication", implication)  # line holding x -> y
 
     def __str__(self):
         return f"mp {self.antecedent} {self.implication}"
 
 
-@dataclass(frozen=True)
 class Necessitation(Justification):
-    premise: int
-    coalition: Coalition
+    __slots__ = ("premise", "coalition")
+
+    def __init__(self, premise: int, coalition: Coalition):
+        _set = object.__setattr__
+        _set(self, "premise", premise)
+        _set(self, "coalition", coalition)
 
     def __str__(self):
         return "nec%s %d" % (format_coalition(self.coalition), self.premise)
 
 
-@dataclass(frozen=True)
 class StrategicNecessitation(Justification):
-    premise: int
-    coalition: Coalition
+    __slots__ = ("premise", "coalition")
+
+    def __init__(self, premise: int, coalition: Coalition):
+        _set = object.__setattr__
+        _set(self, "premise", premise)
+        _set(self, "coalition", coalition)
 
     def __str__(self):
         return "snec%s %d" % (format_coalition(self.coalition), self.premise)
 
 
-@dataclass(frozen=True)
 class Hypothesis(Justification):
-    index: int  # 0-based into Derivation.hypotheses
-    label: str
+    __slots__ = ("index", "label")
+
+    def __init__(self, index: int, label: str):
+        _set = object.__setattr__
+        _set(self, "index", index)  # 0-based into Derivation.hypotheses
+        _set(self, "label", label)
 
     def __str__(self):
         return f"hyp {self.label}"
 
 
-@dataclass(frozen=True)
-class Line:
-    formula: Formula
-    justification: Justification
+class Line(_Record):
+    __slots__ = ("formula", "justification")
+
+    def __init__(self, formula: Formula, justification: Justification):
+        _set = object.__setattr__
+        _set(self, "formula", formula)
+        _set(self, "justification", justification)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    hypotheses: tuple[tuple[str, Formula], ...]
-    lines: tuple[Line, ...]
-    goal: Formula
+class Derivation(_Record):
+    __slots__ = ("hypotheses", "lines", "goal")
+
+    def __init__(self, hypotheses: tuple[tuple[str, Formula], ...],
+                 lines: tuple[Line, ...], goal: Formula):
+        _set = object.__setattr__
+        _set(self, "hypotheses", hypotheses)
+        _set(self, "lines", lines)
+        _set(self, "goal", goal)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    line: int | None = None  # 1-based first failing line; None for goal/global failures
-    reason: str | None = None
+class VerifyResult(_Record):
+    __slots__ = ("ok", "line", "reason")
+
+    def __init__(self, ok: bool, line: int | None = None, reason: str | None = None):
+        _set = object.__setattr__
+        _set(self, "ok", ok)
+        _set(self, "line", line)  # 1-based first failing line; None for goal/global failures
+        _set(self, "reason", reason)
 
     def __str__(self):
         if self.ok:
@@ -336,7 +366,13 @@ class ProofFormatError(InputError):
 # empty, and ``axiom``, ``mp``, ``nec`` and ``hyp`` hold the axiom name, the
 # antecedent line, the rule and the label.  A justification may not start
 # inside an identifier, so ``q -> qtaut`` cuts no ``taut`` from ``qtaut``.
+# Every alternative starts with one of ``t``, ``a``, ``m``, ``s``, ``n`` and
+# ``h``, so the leading lookahead refuses no position where the rest could
+# match, and ``search`` finds the same leftmost match with the same groups;
+# it only spares the lookbehind and the alternation at every other
+# character of the line.
 _JUST_RE = re.compile(
+    r"(?=[tamsnh])"
     r"(?<![A-Za-z0-9_'])"
     r"(?:taut(?P<taut>)"
     r"|axiom\s+(?P<axiom>[A-Za-z]+)"
@@ -405,10 +441,9 @@ def parse_derivation(text: str) -> Derivation:
     goal: Formula | None = None
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].rstrip()
-        if not content.strip():
+        stripped = raw.partition("#")[0].strip()
+        if not stripped:
             continue
-        stripped = content.strip()
         if stripped == "hypotheses:":
             section = "hypotheses"
             continue

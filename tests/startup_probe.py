@@ -1,29 +1,35 @@
-"""Run one ``knowhow check`` in this fresh interpreter and report what it loaded.
+"""Run one ``knowhow check`` or ``knowhow prove`` in this fresh interpreter
+and report what it loaded.
 
 Usage: python startup_probe.py MODEL_FILE [--formula TEXT] [NAME ...]
+       python startup_probe.py PROOF_FILE [NAME ...]
 
 Checks TEXT (default ``H{a} p``) at ``w0 ; a=1 ; w1`` of MODEL_FILE (the
-bundled ``t1`` model) through ``knowhow.cli.main``, then reads each NAME
-from the ``knowhow`` package.  The check's output comes first; the last line
-is one JSON object with the check's exit code, the file ``knowhow`` was
-imported from, which of its lazy modules have run, and which watched
-standard modules the import and the check loaded.
+bundled ``t1`` model), or proves PROOF_FILE (a name ending in ``.proof``),
+through ``knowhow.cli.main``, then reads each NAME from the ``knowhow``
+package.  The command's output comes first; the last line is one JSON
+object with its exit code, the file ``knowhow`` was imported from, which of
+its lazy modules have run, and which watched standard modules the import
+and the command loaded.
 """
 import sys
 
 WATCHED = ("dataclasses", "hashlib", "importlib.resources", "inspect", "json", "typing")
 LAZY = {"knowhow.proofkit": "verify", "knowhow.harness": "lemma_suite"}
 
-model, *names = sys.argv[1:]
+path, *names = sys.argv[1:]
 formula = "H{a} p"
 if names[:1] == ["--formula"]:
     formula, names = names[1], names[2:]
+if path.endswith(".proof"):
+    argv = ["prove", path]
+else:
+    argv = ["check", "--system", path, "--history", "w0 ; a=1 ; w1", "--formula", formula]
 
 before = set(sys.modules)
 import knowhow.cli  # noqa: E402
 
-code = knowhow.cli.main(["check", "--system", model,
-                         "--history", "w0 ; a=1 ; w1", "--formula", formula])
+code = knowhow.cli.main(argv)
 for name in names:
     getattr(knowhow, name)
 # read the module's own dict: a normal attribute read would run a lazy module

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from knowhow import formula as formula_module
 from knowhow.formula import TOP, Atom, Falsum, Implies, Know, How, Not, parse
 from knowhow.fixtures import proof_text
 from knowhow.proofkit import (
-    AxiomInstance, AxiomName, Derivation, Hypothesis, Justification, Line,
+    _JUST_RE, AxiomInstance, AxiomName, Derivation, Hypothesis, Justification, Line,
     ModusPonens, MAX_OPAQUE, Necessitation, OpaqueLimitError, ProofFormatError,
     StrategicNecessitation, Tautology,
     derive_k_superdistributivity_instance, derive_superdistributivity_instance,
@@ -368,11 +369,6 @@ def test_hypothesis_lines_must_match_their_hypothesis():
 
 
 class TestProofFileParsing:
-    def test_round_trip_through_format(self):
-        d = parse_derivation(proof_text("strategic_negative_introspection.proof"))
-        again = parse_derivation(format_derivation(d))
-        assert again == d and verify(again).ok
-
     def test_line_numbering_must_be_consecutive(self):
         text = "lines:\n  1: p -> p  taut\n  3: p -> p  taut\ngoal: p -> p\n"
         with pytest.raises(ProofFormatError) as err:
@@ -480,24 +476,25 @@ class TestSuperdistributivity:
                 if isinstance(line.justification, AxiomInstance)}
         assert used == {AxiomName.DISTRIBUTIVITY}
 
-    def test_emitted_files_round_trip(self):
-        d = derive_superdistributivity_instance(
-            [A, frozenset({"b"})],
-            [parse("p"), parse("p -> q")],
-            parse("q"),
-            _core("p -> ((p -> q) -> q)"))
-        assert verify(parse_derivation(format_derivation(d))) == verify(d)
+
+def _emitted(n, strategic):
+    """``derive_superdistributivity_instance`` (over ``{b0}``, ``{b1}``, ...)
+    or ``derive_k_superdistributivity_instance`` (over ``{a}``) of premises
+    ``p0..p(n-1)`` entailing ``p0``."""
+    premises = [Atom(f"p{i}") for i in range(n)]
+    chain = _chain(premises, premises[0])
+    core = Derivation((), (Line(chain, Tautology()),), chain)
+    if strategic:
+        return derive_superdistributivity_instance(
+            [frozenset({f"b{i}"}) for i in range(n)], premises, premises[0], core)
+    return derive_k_superdistributivity_instance(A, premises, premises[0], core)
+
+
+EMITTED = [(n, strategic) for n in range(2, 11) for strategic in (True, False)]
 
 
 def _ten_premise_file():
-    premises = [Atom(f"p{i}") for i in range(10)]
-    chain = premises[0]
-    for p in reversed(premises):
-        chain = Implies(p, chain)
-    d = derive_superdistributivity_instance(
-        [frozenset({f"b{i}"}) for i in range(10)], premises, premises[0],
-        Derivation((), (Line(chain, Tautology()),), chain))
-    return format_derivation(d)
+    return format_derivation(_emitted(10, strategic=True))
 
 
 class TestSharedSubformulas:
@@ -534,3 +531,71 @@ class TestSharedSubformulas:
         assert first == second
         assert all(a.formula is not b.formula
                    for a, b in zip(first.lines, second.lines))
+
+
+BUNDLED = BUNDLED_OK + [name for name, _, _ in BUNDLED_BAD]
+
+
+def _assert_round_trip(d):
+    again = parse_derivation(format_derivation(d))
+    assert again == d and hash(again) == hash(d)
+    assert verify(again) == verify(d)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_proofs_round_trip_through_format(name):
+    _assert_round_trip(parse_derivation(proof_text(name)))
+
+
+@pytest.mark.parametrize("n, strategic", EMITTED,
+                         ids=[f"{'H' if strategic else 'K'}-{n}" for n, strategic in EMITTED])
+def test_emitted_derivations_round_trip_through_format(n, strategic):
+    _assert_round_trip(_emitted(n, strategic))
+
+
+# ``_JUST_RE`` opens with a lookahead on the letters its alternatives start
+# with; without it the pattern must find the same match in every body
+_GUARD = "(?=[tamsnh])"
+_UNGUARDED = re.compile(_JUST_RE.pattern.removeprefix(_GUARD))
+
+JUSTIFICATION_EDGES = [
+    "q -> qtaut", "x -> taut    taut", "p    hyp hyp", "p    snec{a} 1",
+    "p  nec{ a , b } 2", "p    mp 1 2   ", "p axiom   Truth",
+    "K{a} p -> H{a} (p -> n)",  # no justification
+]
+
+
+def _line_bodies(text):
+    """What follows ``N:`` on each numbered line, as ``parse_derivation``
+    hands it to ``_JUST_RE``."""
+    for raw in text.splitlines():
+        number, colon, body = raw.partition("#")[0].strip().partition(":")
+        if colon and number.strip().isdecimal():
+            yield body
+
+
+def _disagreements(guarded, bodies):
+    """The bodies where ``guarded`` and the unguarded pattern differ in the
+    span or the groups of their match."""
+    def scan(pattern, body):
+        m = pattern.search(body)
+        return m and (m.span(), m.groupdict())
+
+    return [b for b in bodies if scan(guarded, b) != scan(_UNGUARDED, b)]
+
+
+@pytest.mark.parametrize("bodies", [
+    [body for name in BUNDLED for body in _line_bodies(proof_text(name))],
+    [body for case in EMITTED
+     for body in _line_bodies(format_derivation(_emitted(*case)))],
+    JUSTIFICATION_EDGES,
+], ids=["bundled", "emitted", "edges"])
+def test_the_justification_guard_changes_no_match(bodies):
+    assert _JUST_RE.pattern.startswith(_GUARD)
+    assert len(bodies) >= 8
+    assert _disagreements(_JUST_RE, bodies) == []
+
+
+def test_a_guard_missing_a_letter_changes_a_match():
+    planted = re.compile("(?=[tamnh])" + _UNGUARDED.pattern)
+    assert _disagreements(planted, JUSTIFICATION_EDGES) == ["p    snec{a} 1"]

@@ -99,10 +99,11 @@ def test_a_fresh_check_runs_neither_proofkit_nor_harness(tmp_path):
 
 
 @pytest.mark.parametrize("name, executed, imported", [
-    # the lazy modules keep their dataclasses, which import ``inspect``
-    ("verify", ["knowhow.proofkit"], ["dataclasses", "inspect"]),
-    ("ProofFormatError", ["knowhow.proofkit"], ["dataclasses", "inspect"]),
-    # the harness imports proofkit's schema matcher, and hashes its seeds
+    # proofkit's records are slotted classes, as the formula nodes are
+    ("verify", ["knowhow.proofkit"], []),
+    ("ProofFormatError", ["knowhow.proofkit"], []),
+    # the harness imports proofkit's schema matcher, hashes its seeds and
+    # keeps its dataclasses, which import ``inspect``
     ("lemma_suite", ["knowhow.harness", "knowhow.proofkit"],
      ["dataclasses", "hashlib", "inspect"]),
 ])
@@ -110,6 +111,17 @@ def test_the_first_read_of_a_lazy_name_runs_its_module(tmp_path, name,
                                                        executed, imported):
     report = _probe(tmp_path, name)
     assert (report["executed"], report["imported"]) == (executed, imported)
+
+
+def test_a_fresh_prove_runs_proofkit_without_dataclasses_or_inspect(tmp_path):
+    proof = SRC / "knowhow" / "data" / "proofs" / "positive_introspection.proof"
+    done = _fresh([str(PROBE), str(proof)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    answer, last = done.stdout.splitlines()
+    report = json.loads(last)
+    assert (answer, report["exit"]) == ("ok", 0)
+    assert report["registered"] == ["knowhow.harness", "knowhow.proofkit"]
+    assert (report["executed"], report["imported"]) == (["knowhow.proofkit"], [])
 
 
 @pytest.mark.parametrize("model, text, message", [

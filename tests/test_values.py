@@ -1,9 +1,12 @@
-"""Value semantics of the immutable classes on the check path: formula
-nodes, ``Profile``, ``History``, ``Verdict`` and ``Measures``.
+"""Value semantics of the immutable classes on the check and prove paths:
+formula nodes, ``Profile``, ``History``, ``Verdict`` and ``Measures``, and
+proofkit's records (a ``Line``, its ``Justification``, a ``Derivation`` and
+a ``VerifyResult``).
 
 They are plain ``__slots__`` classes, so these tests pin what the frozen
 dataclasses they replaced gave: structural equality within a class,
-hashing, the exact ``repr`` and refused assignment.  Profiles have no order.
+hashing, the exact ``repr``, keyword construction, defaults, copies and
+pickles, and refused assignment.  Profiles have no order.
 """
 import copy
 import os
@@ -19,6 +22,11 @@ from knowhow.checker import Verdict
 from knowhow.formula import (
     TOP, Atom, Falsum, How, Implies, Know, Measures, Not, measures, parse,
 )
+from knowhow.proofkit import (
+    AxiomInstance, AxiomName, Derivation, Hypothesis, Justification, Line,
+    ModusPonens, Necessitation, StrategicNecessitation, Tautology, VerifyResult,
+    verify,
+)
 from knowhow.system import EpistemicTransitionSystem, History, Profile
 
 a = frozenset({"a"})
@@ -28,9 +36,19 @@ p, q = Atom("p"), Atom("q")
 NODES = [Falsum(), p, Not(p), Implies(p, q), Know(a, p), How(a, p)]
 
 
+def _proof_records():
+    """One of each proofkit record, built afresh on each call."""
+    cited = Hypothesis(0, "h1")
+    return [Tautology(), AxiomInstance(AxiomName.TRUTH), ModusPonens(1, 2),
+            Necessitation(1, a), StrategicNecessitation(1, a), cited,
+            Line(p, cited), Derivation((("h1", p),), (Line(p, cited),), p),
+            VerifyResult(True), VerifyResult(False, 3, "mode violation")]
+
+
 def _values():
     h = History(("w0", "w1"), (Profile.of({"a": "1"}),))
-    return [*NODES, Profile.of({"a": "0"}), h, Verdict(False, True, 4, h)]
+    return [*NODES, Profile.of({"a": "0"}), h, Verdict(False, True, 4, h),
+            *_proof_records()]
 
 
 def test_nodes_equal_within_their_class_and_never_across_classes():
@@ -93,6 +111,85 @@ def test_verdicts_compare_and_hash_by_their_fields():
     assert hash(v) == hash(Verdict(True, strategy=Profile.of({"a": "0"})))
     assert v != Verdict(True) and Verdict(True) != Verdict(True, horizon_used=1)
     assert bool(v) and not Verdict(False)
+
+
+def test_proof_records_equal_within_their_class_and_never_across_classes():
+    for i, x in enumerate(_proof_records()):
+        for j, y in enumerate(_proof_records()):
+            assert (x == y) is (i == j), (x, y)
+            assert (x != y) is (i != j), (x, y)
+    # the two necessitations hold the same fields but are different rules
+    assert Necessitation(1, a) != StrategicNecessitation(1, a)
+    assert Necessitation(1, a).__eq__(StrategicNecessitation(1, a)) is NotImplemented
+    assert ModusPonens(1, 2) != ModusPonens(2, 1) and Hypothesis(0, "h1") != Hypothesis(0, "h2")
+    # a record equals no value of another class, fieldless or not
+    assert Tautology() != Falsum() and VerifyResult(True) != Verdict(True)
+    assert ModusPonens(1, 2) != (1, 2) and Line(p, Tautology()) != (p, Tautology())
+
+
+def test_proof_records_hash_as_the_tuple_of_their_fields():
+    for record in _proof_records():
+        fields = tuple(getattr(record, name) for name in type(record).__slots__)
+        assert hash(record) == hash(fields), record
+    assert hash(Tautology()) == hash(()) and hash(ModusPonens(1, 2)) == hash((1, 2))
+    assert len(set(_proof_records() + _proof_records())) == len(_proof_records())
+
+
+def test_the_repr_of_proof_records_names_every_field():
+    # the strings the frozen dataclasses printed
+    assert list(map(repr, _proof_records())) == [
+        "Tautology()",
+        "AxiomInstance(name=<AxiomName.TRUTH: 'Truth'>)",
+        "ModusPonens(antecedent=1, implication=2)",
+        "Necessitation(premise=1, coalition=frozenset({'a'}))",
+        "StrategicNecessitation(premise=1, coalition=frozenset({'a'}))",
+        "Hypothesis(index=0, label='h1')",
+        "Line(formula=Atom('p'), justification=Hypothesis(index=0, label='h1'))",
+        "Derivation(hypotheses=(('h1', Atom('p')),), lines=(Line(formula=Atom('p'), "
+        "justification=Hypothesis(index=0, label='h1')),), goal=Atom('p'))",
+        "VerifyResult(ok=True, line=None, reason=None)",
+        "VerifyResult(ok=False, line=3, reason='mode violation')",
+    ]
+
+
+def test_proof_records_take_their_fields_by_keyword_and_default():
+    cited = Hypothesis(index=0, label="h1")
+    assert [Tautology(), AxiomInstance(name=AxiomName.TRUTH),
+            ModusPonens(antecedent=1, implication=2),
+            Necessitation(premise=1, coalition=a),
+            StrategicNecessitation(premise=1, coalition=a), cited,
+            Line(formula=p, justification=cited),
+            Derivation(hypotheses=(("h1", p),), lines=(Line(p, cited),), goal=p),
+            VerifyResult(ok=True),
+            VerifyResult(ok=False, line=3, reason="mode violation"),
+            ] == _proof_records()
+    ok = VerifyResult(True)
+    assert (ok.ok, ok.line, ok.reason, str(ok)) == (True, None, None, "ok")
+    assert VerifyResult(False, reason="derivation has no lines") == VerifyResult(
+        False, None, "derivation has no lines")
+    with pytest.raises(TypeError):
+        Line(p)
+    with pytest.raises(TypeError):
+        ModusPonens(1, 2, 3)
+
+
+class _Cited(Justification):
+    """A justification defined outside proofkit, with a field of its own."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source: str):
+        object.__setattr__(self, "source", source)
+
+
+def test_a_justification_subclass_is_a_record_too():
+    cited = _Cited("paper")
+    assert cited == _Cited("paper") != _Cited("book") and hash(cited) == hash(("paper",))
+    assert repr(cited) == "_Cited(source='paper')" and copy.copy(cited) == cited
+    with pytest.raises(AttributeError, match="cannot assign to field 'source'"):
+        cited.source = "book"
+    result = verify(Derivation((), (Line(p, cited),), p))
+    assert str(result) == "line 1: unknown justification _Cited(source='paper')"
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
