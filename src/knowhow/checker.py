@@ -36,8 +36,9 @@ evaluation on that system shares it (``ets._views``).
 Empty-coalition modalities quantify over histories of every length, so both
 implementations cap the enumeration at a caller supplied horizon.
 ``evaluate`` walks the levels once per (body, minimum length), keeping the
-first refuting history, or None when the walk found none and the verdict is
-``bounded``; the top-level counterexample is read from that memo.  A level
+first refuting history, or None when the walk found none; the top-level
+counterexample is read from that memo, and the verdict is ``bounded``
+exactly when some entry of it is None.  A level
 keeps, per body type, a back-pointer to the first history of that type (its
 parent's path and the move), and only the history returned is built.
 
@@ -68,8 +69,8 @@ from .formula import (
     InputError, NestingError, Not, _operands, _Record, measures,
 )
 from .system import (
-    EpistemicTransitionSystem, History, Profile, histories_of_length,
-    hist_indist, profile_agrees, validate_history,
+    EpistemicTransitionSystem, History, Profile, check_regular,
+    histories_of_length, hist_indist, profile_agrees, validate_history,
 )
 
 
@@ -126,10 +127,19 @@ class Verdict(_Record):
 
 def _check_preconditions(ets: EpistemicTransitionSystem, h: History,
                          f: Formula, horizon: int | None) -> tuple[int, list[int]]:
+    """Both evaluators' input checks, in order; the horizon used and ``h``'s moves.
+
+    ``h`` must be a history of ``ets``, then ``ets`` regular: the know-how
+    clause quantifies over every history's successors, so this is the one
+    place an irregular system is refused, naming its first gap.
+    """
     moves = validate_history(ets, h)
-    if not ets.is_regular:
+    gaps = check_regular(ets)
+    if gaps:
+        w, profile = gaps[0]
         raise RegularityError(
-            "system is not regular; every state/profile pair needs a successor")
+            f"system is not regular: no successor for state {w!r} under "
+            f"profile {profile} ({len(gaps)} violations)")
     shape = measures(f)
     if shape.nesting > MAX_NESTING:
         raise NestingError(f"formula nests deeper than {MAX_NESTING} levels")
@@ -316,7 +326,6 @@ class _Evaluator:
         self.types = _Types(ets)
         self.values: dict[tuple[Formula, int], bool] = {}
         self.refutations: dict[tuple[Formula, int], History | None] = {}
-        self.bounded = False
 
     def value(self, f: Formula, t: int) -> bool:
         """Whether ``f`` holds at the histories of type ``t``, a type of
@@ -370,7 +379,6 @@ class _Evaluator:
         key = (body, min_length)
         if key not in self.refutations:
             self.refutations[key] = self.find_counterexample(body, min_length)
-            self.bounded |= self.refutations[key] is None
         return self.refutations[key]
 
     def find_counterexample(self, body: Formula, min_length: int) -> History | None:
@@ -438,7 +446,8 @@ def evaluate(ets: EpistemicTransitionSystem, h: History, f: Formula,
     counterexample = None
     if isinstance(f, (Know, How)) and not f.coalition:
         counterexample = ev.refutation(f.sub, 1 if isinstance(f, How) else 0)
-    return Verdict(value, bounded=ev.bounded, horizon_used=used,
+    bounded = None in ev.refutations.values()
+    return Verdict(value, bounded=bounded, horizon_used=used,
                    counterexample=counterexample, strategy=strategy)
 
 

@@ -4,7 +4,8 @@ Subcommands: ``check`` evaluates a formula at a history of a model file,
 ``prove`` verifies a derivation file, ``fuzz`` runs the random property
 suites, ``examples`` answers a bundled claim list's checks as ``check``
 would, and ``validate`` runs well-formedness and regularity checks on a
-model file.
+model file.  ``validate`` lists an irregular model's gaps and exits 1;
+``check`` refuses such a model with exit 2, as the checker refuses it.
 
 The one command-line grammar is :func:`build_parser`'s, built once per
 process; :func:`_parse` parses each line once, with its subcommand's own
@@ -128,7 +129,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    ets = load_system(_read(args.system), require_regular=False)
+    ets = load_system(_read(args.system))
     print(f"agents: {len(ets.agents)}  states: {len(ets.states)}  "
           f"choices: {len(ets.choices)}  transitions: {len(ets.mechanism)}")
     violations = check_regular(ets)

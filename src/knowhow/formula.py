@@ -240,8 +240,12 @@ _ARROW, _RPAREN, _COMMA, _RBRACE, _IDENT, _EOF = (
     "'->'", "')'", "','", "'}'", "identifier", "end of input")
 _UNARY_START = ("'!'", _IDENT, "'true'", "'false'", "'('")
 
+#: The constants' words: they match ``IDENT_RE`` but name no agent or atom,
+#: so no model or proof may declare them.
+RESERVED = frozenset({"true", "false"})
+
 # every token text that is not an identifier; ``""`` ends the input
-_NOT_IDENT = frozenset({"->", "!", "{", "}", "(", ")", ",", "true", "false", ""})
+_NOT_IDENT = frozenset({"->", "!", "{", "}", "(", ")", ",", ""}) | RESERVED
 _PARENS = frozenset("()")
 
 _TOKEN = re.compile(r"->|[!{}(),]|" + IDENT_RE.pattern)

@@ -18,7 +18,7 @@ import enum
 import re
 
 from .formula import (
-    Atom, Coalition, Falsum, Formula, How, Implies, Know, Not,
+    RESERVED, Atom, Coalition, Falsum, Formula, How, Implies, Know, Not,
     FormulaSyntaxError, IDENT_RE, InputError, _Record, format_coalition, parse,
 )
 
@@ -387,7 +387,7 @@ def _parse_coalition_body(body: str, line_no: int) -> Coalition:
         return frozenset()
     members = [m.strip() for m in body.split(",")]
     for m in members:
-        if not IDENT_RE.fullmatch(m):
+        if not IDENT_RE.fullmatch(m) or m in RESERVED:
             raise ProofFormatError(f"bad agent token {m!r}", line_no)
     if len(set(members)) != len(members):
         raise ProofFormatError("duplicate agent in coalition", line_no)

@@ -18,6 +18,9 @@ generator draws successors for.
 pairwise definitions; the checker never lists a class.  They read a vote
 from the profile's agent map and a block from the agent's block table, so
 ``hist_indist`` costs O(length x |C|) lookups.
+
+A system is built, and a model loaded, whether or not it is regular: the
+checker refuses one that :func:`check_regular` finds a gap in.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import itertools
 import re
 from collections.abc import Container, Iterable, Mapping
 
-from .formula import Coalition, IDENT_RE, InputError, _Record
+from .formula import RESERVED, Coalition, IDENT_RE, InputError, _Record
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
 TRANS_RE = re.compile(r"trans\s+(\S+)\s+\[([^\]]*)\]\s+(\S+)")
@@ -176,9 +179,9 @@ class EpistemicTransitionSystem:
     become singletons.  The mechanism may be nondeterministic.  Each
     (state, votes, target) triple is kept once, as a move of ``successors``
     that holds the system's own ``complete_profiles`` object; ``mechanism``
-    and ``is_regular`` (a successor for every state/profile pair) are read
-    off the moves.  Regularity is *not* enforced here; use
-    :func:`check_regular` or load with ``require_regular=True``.
+    and the regularity gaps (the state/profile pairs with no successor) are
+    read off the moves.  Regularity is *not* enforced here: ask
+    :func:`check_regular`, as the checker does before it evaluates.
     """
 
     def __init__(
@@ -272,7 +275,6 @@ class EpistemicTransitionSystem:
         covered = {(w1, votes) for w1, votes, _ in keys}  # regularity, read once
         self._gaps = [(w, s) for w in sorted(states) for s in self.complete_profiles
                       if (w, s.votes) not in covered]
-        self.is_regular = not self._gaps
         self._levels: list[tuple[History, ...]] = []
         # the checker's view of each coalition's moves, built on first use
         self._views: dict[Coalition, object] = {}
@@ -464,7 +466,7 @@ def _read_votes(text: str, agents: Container[str], choices: Container[str],
     return votes
 
 
-def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransitionSystem:
+def load_system(text: str) -> EpistemicTransitionSystem:
     """Parse the line-oriented model format into a validated system.
 
     The ``agents``, ``choices`` and ``states`` declarations are read first,
@@ -473,9 +475,10 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
     lines, most of a model, are matched first.  Wildcard transition
     patterns (``trans w0 [a=1] w2`` leaves the other agents unconstrained;
     ``[]`` matches every profile) expand into explicit mechanism triples;
-    pattern lines accumulate rather than override.  With ``require_regular``
-    the loader scans the system once for regularity, and raises if any
-    state/profile pair lacks a successor.
+    pattern lines accumulate rather than override.  ``true`` and ``false``
+    are formula constants, so no agent or proposition may take either name.
+    An irregular model loads too: :func:`check_regular` lists its gaps, and
+    the checker refuses it.
     """
     decls: dict[str, list[str]] = {}
     # every other line in file order, a ``trans`` line with its match
@@ -502,6 +505,8 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
                     raise ModelFormatError(
                         f"{key[:-1]} name {tok!r} must start with a letter or underscore",
                         line_no)
+                if key == "agents" and tok in RESERVED:
+                    raise ModelFormatError(f"agent name {tok!r} is reserved", line_no)
             if len(set(tokens)) != len(tokens):
                 raise ModelFormatError(f"duplicate name in {key!r} declaration", line_no)
             if not tokens:
@@ -571,6 +576,8 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
                 raise ModelFormatError("expected ':' in valuation line", line_no)
             if not IDENT_RE.fullmatch(prop):
                 raise ModelFormatError(f"bad proposition token {prop!r}", line_no)
+            if prop in RESERVED:
+                raise ModelFormatError(f"proposition name {prop!r} is reserved", line_no)
             for w in body.split():
                 if w not in state_set:
                     raise ModelFormatError(f"undeclared state {w!r}", line_no)
@@ -580,13 +587,5 @@ def load_system(text: str, *, require_regular: bool = True) -> EpistemicTransiti
         else:
             raise ModelFormatError(f"unrecognized line {line!r}", line_no)
 
-    ets = EpistemicTransitionSystem(
+    return EpistemicTransitionSystem(
         agents, states, choices, indist_blocks, mechanism, valuation)
-    if require_regular:
-        violations = check_regular(ets)
-        if violations:
-            w, profile = violations[0]
-            raise ModelFormatError(
-                f"system is not regular: no successor for state {w!r} under "
-                f"profile {profile} ({len(violations)} violations)")
-    return ets

@@ -22,9 +22,9 @@ from knowhow.harness import (
     gen_system, lemma_suite,
 )
 from knowhow.system import (
-    InvalidHistoryError, Profile, History, hist_indist, load_system,
-    parse_history, histories_of_length, profile_agrees, state_indist,
-    validate_history,
+    EpistemicTransitionSystem, InvalidHistoryError, Profile, History,
+    hist_indist, load_system, parse_history, histories_of_length,
+    profile_agrees, state_indist, validate_history,
 )
 
 A = frozenset({"a"})
@@ -180,11 +180,26 @@ def test_empty_coalition_axiom_shape_under_shared_horizon(t1):
 
 
 def test_nonregular_systems_are_refused():
-    ets = load_system(
-        "agents: a\nchoices: 0 1\nstates: w0\ntrans w0 [a=0] w0\n",
-        require_regular=False)
+    ets = load_system("agents: a\nchoices: 0 1\nstates: w0\ntrans w0 [a=0] w0\n")
     with pytest.raises(RegularityError):
         evaluate(ets, History(("w0",), ()), parse("p"))
+
+
+def test_regularity_error_names_the_first_gap_and_counts_them():
+    # built in code, so no loader saw it; w1 has no move at all
+    zero, one = Profile.of({"a": "0"}), Profile.of({"a": "1"})
+    ets = EpistemicTransitionSystem(
+        ["a"], ["w0", "w1"], ["0", "1"], {}, [("w0", zero, "w0")], {})
+    h = History(("w0",), ())
+    for check in (evaluate, evaluate_naive):
+        with pytest.raises(RegularityError) as err:
+            check(ets, h, parse("p"))
+        assert str(err.value) == (
+            "system is not regular: no successor for state 'w0' under "
+            "profile a=1 (3 violations)")
+    # the history is checked first: a step that is no move is reported, not a gap
+    with pytest.raises(InvalidHistoryError):
+        evaluate(ets, History(("w0", "w1"), (one,)), parse("p"))
 
 
 def test_histories_are_validated(t1):

@@ -141,13 +141,13 @@ def test_check_decides_at_a_history_longer_than_the_recursion_limit(
 
 def test_check_scans_the_model_for_regularity_once(t1_path, capsys, monkeypatch):
     scans = []
-    scan = system.check_regular
+    scan = checker.check_regular
 
     def counting(ets):
         scans.append(ets)
         return scan(ets)
 
-    monkeypatch.setattr(system, "check_regular", counting)
+    monkeypatch.setattr(checker, "check_regular", counting)
     code = main(["check", "--system", t1_path,
                  "--history", "w0 ; a=1 ; w1", "--formula", "H{a} K{} (p -> p)"])
     assert code == 0
@@ -181,13 +181,13 @@ def test_check_compares_and_hashes_no_profile(t1_path, capsys, monkeypatch, form
 
 def test_check_scans_a_model_that_is_not_regular_once(tmp_path, capsys, monkeypatch):
     scans = []
-    scan = system.check_regular
+    scan = checker.check_regular
 
     def counting(ets):
         scans.append(ets)
         return scan(ets)
 
-    monkeypatch.setattr(system, "check_regular", counting)
+    monkeypatch.setattr(checker, "check_regular", counting)
     path = tmp_path / "gap.ets"
     path.write_text("agents: a\nchoices: 0 1\nstates: w0\ntrans w0 [a=0] w0\n")
     code = main(["check", "--system", str(path), "--history", "w0",
@@ -598,7 +598,12 @@ _MODEL = ("agents: a b\nchoices: 0 1\nstates: w0 w1\n"
     (_MODEL + "trans\tw0\tw1\n", "line 7: expected 'trans STATE [pattern] STATE'"),
     (_MODEL + "indist\ta w0 w1\n", "line 7: expected ':' in indist line"),
     (_MODEL + "valuation\tq w0\n", "line 7: expected ':' in valuation line"),
-    (_MODEL + "valuation\t1q: w0\n", "line 7: bad proposition token '1q'")])
+    (_MODEL + "valuation\t1q: w0\n", "line 7: bad proposition token '1q'"),
+    # no formula can name an agent or an atom ``true`` or ``false``
+    ("agents: a false\n", "line 1: agent name 'false' is reserved"),
+    ("choices: 0\nagents: true\n", "line 2: agent name 'true' is reserved"),
+    (_MODEL + "valuation false: w0\n", "line 7: proposition name 'false' is reserved"),
+    (_MODEL + "valuation true: w1\n", "line 7: proposition name 'true' is reserved")])
 def test_model_file_errors_are_usage_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ets"
     path.write_text(text)
@@ -657,7 +662,10 @@ _NEC = "lines:\n  1: p -> p    taut\n  2: K{a} (p -> p)    nec{%s} 1\ngoal: p ->
     ("hypotheses:\n  h: p\n  h: q\n" + _NEC % "a",
      "line 3: duplicate hypothesis label 'h'"),
     ("p -> p\n" + _NEC % "a", "line 1: unexpected content 'p -> p'"),
-    ("goal: p -> p\n", "missing lines section")])
+    ("goal: p -> p\n", "missing lines section"),
+    # the constants' words name no agent
+    (_NEC % "a, true", "line 3: bad agent token 'true'"),
+    (_NEC.replace("nec{", "snec{") % "false", "line 3: bad agent token 'false'")])
 def test_proof_file_errors_are_usage_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.proof"
     path.write_text(text)
@@ -672,7 +680,10 @@ def test_validate_regular_and_broken(t1_path, tmp_path, capsys):
     broken = tmp_path / "broken.ets"
     broken.write_text("agents: a\nchoices: 0 1\nstates: w0\ntrans w0 [a=0] w0\n")
     assert main(["validate", "--system", str(broken)]) == 1
-    assert "not regular" in capsys.readouterr().out
+    assert capsys.readouterr() == (
+        "agents: 1  states: 1  choices: 2  transitions: 1\n"
+        "not regular: 1 state/profile pairs lack a successor\n"
+        "  w0 [a=1]\n", "")
 
 
 def test_fuzz_small_run(capsys):

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from knowhow.checker import RegularityError, evaluate
 from knowhow.fixtures import fixture_text
+from knowhow.formula import parse
 from knowhow.harness import GenParams, gen_system
 from knowhow.system import (
     MAX_PROFILES, EpistemicTransitionSystem, History, InvalidHistoryError,
@@ -103,13 +105,16 @@ def test_load_rejects_missing_and_duplicate_sections():
         load_system("agents: a\nagents: b\nchoices: 0\nstates: w0\ntrans w0 [] w0\n")
 
 
-def test_load_rejects_nonregular_by_default():
+def test_load_accepts_nonregular_and_evaluate_refuses_it():
+    # regularity is a precondition of evaluation, not of reading a model
     text = "agents: a\nchoices: 0 1\nstates: w0\ntrans w0 [a=0] w0\n"
-    with pytest.raises(ModelFormatError) as err:
-        load_system(text)
-    assert "not regular" in str(err.value)
-    ets = load_system(text, require_regular=False)
-    assert len(check_regular(ets)) == 1
+    ets = load_system(text)
+    assert check_regular(ets) == [("w0", Profile.of({"a": "1"}))]
+    with pytest.raises(RegularityError) as err:
+        evaluate(ets, parse_history(ets, "w0"), parse("p"))
+    assert str(err.value) == (
+        "system is not regular: no successor for state 'w0' under profile a=1 "
+        "(1 violations)")
 
 
 def test_t1_is_regular_by_exhaustive_scan(t1):
@@ -133,7 +138,7 @@ def test_removing_sink_loops_breaks_regularity():
     mutilated = "\n".join(
         line for line in fixture_text("t1").splitlines()
         if not line.startswith("trans w2  [] w2"))
-    ets = load_system(mutilated, require_regular=False)
+    ets = load_system(mutilated)
     violations = check_regular(ets)
     assert violations == [
         ("w2", Profile.of({"a": "0"})),
@@ -512,7 +517,9 @@ def test_models_load_to_the_transitions_they_list(monkeypatch):
     assert len(texts) == 2 + 3 * (32 + 64)
     rng = random.Random(3)
     for i, text in enumerate(texts + [_random_model(rng) for _ in range(400)]):
-        ets = load_system(text, require_regular=i < len(texts))
+        ets = load_system(text)
+        if i < len(texts):
+            assert check_regular(ets) == [], text
         listed = _listed_mechanism(text)
         assert ets.mechanism == listed, text
         for w in ets.states:
