@@ -87,18 +87,18 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    """Answer a bundled claim list as ``check`` would; a bad check errors at its line."""
     ets = load_fixture(args.fixture)
     claims = read_claims(fixture_text(args.fixture, ".claims"))
     passed = 0
     for label, checks in claims:
         results = []
-        for check in checks:
-            literal, text, expected = check
+        for literal, text, expected, line_no in checks:
             try:
                 h, f, verdict = _query(ets, literal, text)
             except InputError as e:
                 # a bad check is reported at its line, as a bad model line is
-                raise InputError(str(e), check.line_no) from None
+                raise InputError(str(e), line_no) from None
             results.append((h, f, verdict, expected))
         ok = all(verdict.value == expected for _, _, verdict, expected in results)
         passed += ok

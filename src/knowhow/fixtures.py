@@ -25,25 +25,16 @@ def proof_text(filename: str) -> str:
     return resources.files("knowhow").joinpath("data", "proofs", filename).read_text()
 
 
-class _Check(tuple):
-    """One check, ``(history literal, formula, expected)``, and the
-    ``line_no`` it was read from, which is not part of its value."""
-
-    def __new__(cls, literal: str, formula: str, expected: bool, line_no: int):
-        check = super().__new__(cls, (literal, formula, expected))
-        check.line_no = line_no
-        return check
-
-
-def read_claims(text: str) -> list[tuple[str, list[_Check]]]:
-    """Each claim's label and checks, ``(history literal, formula, expected)``.
+def read_claims(text: str) -> list[tuple[str, list[tuple[str, str, bool, int]]]]:
+    """Each claim's label and checks, ``(history literal, formula, expected,
+    line_no)``.
 
     A ``claim: LABEL`` line opens a claim, each line under it is one check,
     ``history literal | formula | true|false``, and ``#`` starts a comment.
-    Each check keeps its line as ``line_no``, so an error found in it later
-    can name that line.
+    A check's ``line_no`` is the line it was read from, so an error found in
+    it later can name that line.
     """
-    claims: list[tuple[str, list[_Check]]] = []
+    claims: list[tuple[str, list[tuple[str, str, bool, int]]]] = []
     opened: list[int] = []  # the line of each claim's ``claim:``
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
@@ -63,7 +54,7 @@ def read_claims(text: str) -> list[tuple[str, list[_Check]]]:
                                  line_no)
             if not claims:
                 raise InputError("check before any 'claim:' line", line_no)
-            claims[-1][1].append(_Check(literal, formula, expected == "true", line_no))
+            claims[-1][1].append((literal, formula, expected == "true", line_no))
     for (label, checks), line_no in zip(claims, opened):
         if not checks:
             raise InputError(f"claim {label!r} has no checks", line_no)

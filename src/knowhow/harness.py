@@ -34,9 +34,10 @@ as when the suite called ``sample``.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .formula import (
     Atom, Coalition, Falsum, Formula, How, Implies, InputError, Know, Not,
@@ -60,6 +61,8 @@ class GenParams:
 
     ``formula_depth`` bounds :func:`gen_formula` alone.  No knob sets a horizon:
     an empty-coalition instance is checked at its floor plus a drawn 0/1 slack.
+    A given seed keeps ``|seed| < 2**63``; each suite derives its systems'
+    seeds from it, past that bound but never too long to print.
     """
 
     seed: int = 0
@@ -78,6 +81,18 @@ class GenParams:
         if self.branching < 1.0:
             raise GenParamsError("branching below 1 would break regularity")
         check_profile_count(self.num_agents, self.num_choices, GenParamsError)
+        if not -2**63 < self.seed < 2**63:
+            raise GenParamsError("seed must satisfy |seed| < 2**63")
+        if self.num_states > MAX_HISTORIES:  # each state is a length-0 history
+            raise GenParamsError(f"a generated system has more than {MAX_HISTORIES} "
+                                 f"histories of length at most {self.history_depth}")
+
+
+def _reseeded(params: GenParams, seed: int) -> GenParams:
+    """``params`` with a derived system ``seed``, which is not checked again."""
+    derived = copy.copy(params)
+    derived.seed = seed
+    return derived
 
 
 def _rng(params: GenParams, *salt) -> random.Random:
@@ -169,6 +184,12 @@ def _check_lemma_pairs(ets: EpistemicTransitionSystem, depth: int) -> None:
     ``MAX_LEMMA_PAIRS`` pairs on it, counted before any level is listed."""
     histories = _check_history_count(ets, depth)
     coalitions = 1 << len(ets.agents)
+    # the coalitions alone pass the cap; their count is named as a power, since
+    # past about 14,000 agents it has more digits than ``str`` prints
+    if coalitions > MAX_LEMMA_PAIRS:
+        raise GenParamsError(
+            f"a generated system makes more than {MAX_LEMMA_PAIRS} pairs for the lemma "
+            f"suite: its {len(ets.agents)} agents form 2^{len(ets.agents)} coalitions")
     states, profiles = len(ets.states), len(ets.complete_profiles)
     pairs = histories * (coalitions - 1) + coalitions * (states ** 2 + profiles ** 2)
     if pairs > MAX_LEMMA_PAIRS:
@@ -367,7 +388,7 @@ def soundness_suite(params: GenParams, num_systems: int = 10,
         raise GenParamsError("system and instance counts must be non-negative")
     report = SoundnessReport(params)
     for i in range(num_systems):
-        sys_params = replace(params, seed=params.seed * 1_000_003 + i)
+        sys_params = _reseeded(params, params.seed * 1_000_003 + i)
         ets = gen_system(sys_params)
         _check_history_count(ets, params.history_depth)
         report.systems += 1
@@ -681,7 +702,7 @@ def lemma_suite(params: GenParams, num_systems: int = 5,
     report = LemmaReport(params)
     systems = list(extra_systems)
     for i in range(num_systems):
-        systems.append(gen_system(replace(params, seed=params.seed * 7_368_787 + i)))
+        systems.append(gen_system(_reseeded(params, params.seed * 7_368_787 + i)))
     for index, ets in enumerate(systems):
         _check_lemma_pairs(ets, params.history_depth)
         report.systems += 1

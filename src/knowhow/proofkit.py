@@ -381,6 +381,16 @@ _JUST_RE = re.compile(
     r"|hyp\s+(?P<hyp>[A-Za-z_][A-Za-z0-9_']*))\s*$")
 
 
+def _number(digits: str, line_no: int) -> int:
+    """The line number or reference ``digits`` names.  One of more than 18
+    significant digits names no line, and ``int`` refuses it past 4300."""
+    if len(digits.strip().lstrip("0")) > 18:
+        raise ProofFormatError(
+            f"a number of {len(digits.strip())} digits is too long to name a line",
+            line_no)
+    return int(digits)
+
+
 def _parse_coalition_body(body: str, line_no: int) -> Coalition:
     body = body.strip()
     if not body:
@@ -404,11 +414,11 @@ def _justification(m: re.Match, labels: dict[str, int], line_no: int) -> Justifi
             raise ProofFormatError(f"unknown axiom {name!r}", line_no)
         return AxiomInstance(_AXIOM_BY_NAME[name])
     if m["mp"]:
-        return ModusPonens(int(m["mp"]), int(m["implication"]))
+        return ModusPonens(_number(m["mp"], line_no), _number(m["implication"], line_no))
     if m["nec"]:
         coalition = _parse_coalition_body(m["coalition"], line_no)
         cls = Necessitation if m["nec"] == "nec" else StrategicNecessitation
-        return cls(int(m["premise"]), coalition)
+        return cls(_number(m["premise"], line_no), coalition)
     label = m["hyp"]
     if label not in labels:
         raise ProofFormatError(f"unknown hypothesis label {label!r}", line_no)
@@ -470,7 +480,7 @@ def parse_derivation(text: str) -> Derivation:
             number, colon, body = stripped.partition(":")
             if not colon or not number.strip().isdecimal():
                 raise ProofFormatError("expected 'N: formula justification'", line_no)
-            if int(number) != len(lines) + 1:
+            if _number(number, line_no) != len(lines) + 1:
                 raise ProofFormatError(
                     f"lines must be numbered consecutively; expected {len(lines) + 1}",
                     line_no)

@@ -162,11 +162,8 @@ class History(_Record):
         return child
 
     def __str__(self) -> str:
-        parts = [self.states[0]]
-        for profile, state in zip(self.profiles, self.states[1:]):
-            parts.append(str(profile))
-            parts.append(state)
-        return " ; ".join(parts)
+        steps = [f" ; {s} ; {w}" for s, w in zip(self.profiles, self.states[1:])]
+        return self.states[0] + "".join(steps)
 
 
 _set_states, _set_profiles = History.states.__set__, History.profiles.__set__
@@ -180,8 +177,8 @@ class EpistemicTransitionSystem:
     (state, votes, target) triple is kept once, as a move of ``successors``
     that holds the system's own ``complete_profiles`` object; ``mechanism``
     and the regularity gaps (the state/profile pairs with no successor) are
-    read off the moves.  Regularity is *not* enforced here: ask
-    :func:`check_regular`, as the checker does before it evaluates.
+    read off the moves.  The loader's naming and partition rules hold; ask
+    :func:`check_regular` for regularity, as the checker does.
     """
 
     def __init__(
@@ -202,6 +199,12 @@ class EpistemicTransitionSystem:
             raise ModelFormatError("system needs at least one state")
         if not self.choices:
             raise ModelFormatError("system needs at least one choice")
+        for bad, message in ((RESERVED & self.agents, "agent name {!r} is reserved"),
+                             (RESERVED.intersection(valuation),
+                              "proposition name {!r} is reserved"),
+                             (set(indist_blocks) - self.agents, "undeclared agent {!r}")):
+            if bad:
+                raise ModelFormatError(message.format(min(bad)))
         check_profile_count(len(self.agents), len(self.choices))
         #: all |choices|^|agents| complete profiles, in lexicographic order
         self.complete_profiles = self.profiles_over(self.agents)
@@ -212,6 +215,8 @@ class EpistemicTransitionSystem:
             blocks = [frozenset(b) for b in indist_blocks.get(agent, ())]
             seen: set[str] = set()
             for block in blocks:
+                if not block:
+                    raise ModelFormatError("empty indist block")
                 unknown = block - self.states
                 if unknown:
                     raise ModelFormatError(
@@ -226,11 +231,8 @@ class EpistemicTransitionSystem:
             blocks += [frozenset({w}) for w in sorted(self.states - seen)]
             blocks = tuple(sorted(blocks, key=lambda b: min(b)))
             self.indist[agent] = blocks
-            table = {}
-            for idx, block in enumerate(blocks):
-                for w in block:
-                    table[w] = idx
-            self._block[agent] = table
+            self._block[agent] = {w: idx for idx, block in enumerate(blocks)
+                                  for w in block}
 
         # only a complete profile's votes skip the checks below, and every
         # other profile fails one of them.  Votes hash and compare in C.
@@ -261,8 +263,7 @@ class EpistemicTransitionSystem:
             unknown = where - self.states
             if unknown:
                 raise ModelFormatError(
-                    f"valuation of {prop!r} names undeclared state "
-                    f"{sorted(unknown)[0]!r}")
+                    f"valuation of {prop!r} names undeclared state {min(unknown)!r}")
             self.valuation[prop] = where
 
         # sorted keys list each state's moves as ``sorted`` lists its
@@ -422,8 +423,7 @@ def parse_history(ets: EpistemicTransitionSystem, text: str) -> History:
     if not parts or len(parts) % 2 == 0:
         raise InvalidHistoryError(
             "history literal must alternate states and profiles, ending in a state")
-    states = []
-    steps = []  # each profile's sorted votes
+    states, steps = [], []  # steps: each profile's sorted votes
     for idx, part in enumerate(parts):
         if idx % 2 == 0:
             if not TOKEN_RE.fullmatch(part):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import sys
 import time
@@ -9,7 +11,7 @@ import pytest
 from knowhow import checker, cli, harness, system
 from knowhow import formula as formula_module
 from knowhow.cli import main
-from knowhow.fixtures import fixture_text, proof_text, read_claims
+from knowhow.fixtures import FIXTURES, fixture_text, proof_text, read_claims
 from knowhow.formula import MAX_NESTING, parse
 from knowhow.proofkit import MAX_OPAQUE
 from knowhow.system import MAX_PROFILES
@@ -404,7 +406,15 @@ def test_the_bundled_claim_lists_read_back_whole():
         assert (len(read), sum(len(c) for _, c in read)) == (claims, checks)
     # one claim may pin a formula at several histories
     assert read_claims(fixture_text("t1", ".claims"))[3][1] == [
-        ("w1", "H{a} p", False), ("w1'", "H{a} p", False)]
+        ("w1", "H{a} p", False, 11), ("w1'", "H{a} p", False, 12)]
+
+
+def test_claim_lists_copy_and_pickle_with_their_line_numbers():
+    # each check is a plain tuple whose last field is its line
+    for name in FIXTURES:
+        read = read_claims(fixture_text(name, ".claims"))
+        for twin in (copy.deepcopy(read), pickle.loads(pickle.dumps(read))):
+            assert twin == read
 
 
 def _examples_with_claims(capsys, monkeypatch, text):

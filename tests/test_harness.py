@@ -38,6 +38,36 @@ def test_genparams_invariants():
     assert GenParams(num_agents=1, num_choices=MAX_PROFILES).num_choices == MAX_PROFILES
 
 
+def test_genparams_refuse_a_long_seed_and_more_states_than_histories():
+    # a seed past the bound would make derived seeds too long to print; each
+    # state is a length-0 history, so no generated system is listed first
+    for seed in (2**63, -2**63, 10**4299 - 1):
+        with pytest.raises(GenParamsError, match=re.escape("|seed| < 2**63")):
+            GenParams(seed=seed)
+    with pytest.raises(GenParamsError, match=f"more than {harness.MAX_HISTORIES} "
+                                             "histories of length at most 3"):
+        GenParams(num_states=harness.MAX_HISTORIES + 1)
+    assert GenParams(num_states=harness.MAX_HISTORIES).num_states == harness.MAX_HISTORIES
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, 1 - 2**63])
+def test_a_seed_inside_its_bound_runs_both_suites(seed):
+    # each suite derives its systems' seeds past the bound, unchecked
+    params = GenParams(seed=seed, history_depth=1)
+    assert soundness_suite(params, num_systems=2, num_instances=1).violations == []
+    assert lemma_suite(params, num_systems=2).failures == []
+
+
+@pytest.mark.parametrize("agents, message", [
+    (18, "makes 786431 pairs for the lemma suite, more than 300000: 1 histories"),
+    (19, "makes more than 300000 pairs for the lemma suite: its 19 agents form "
+         "2^19 coalitions")])
+def test_coalitions_past_the_lemma_pair_cap_are_not_counted_out(agents, message):
+    ets = gen_system(GenParams(num_agents=agents, num_choices=1, num_states=1))
+    with pytest.raises(GenParamsError, match=re.escape(message)):
+        harness._check_lemma_pairs(ets, 0)
+
+
 def test_a_negative_lemma_system_count_is_rejected():
     # the command line never passes one (it asks for at least one system);
     # its negative --systems and --instances reach soundness_suite first

@@ -412,6 +412,23 @@ class TestProofFileParsing:
             parse_derivation("lines:\n  \u00b2: p -> p    taut\ngoal: p -> p\n")
         assert str(err.value) == "line 2: expected 'N: formula justification'"
 
+    @pytest.mark.parametrize("text, valid", [
+        ("lines:\n  1: p -> p    taut\n  2: p    mp {n} 1\ngoal: p\n", "1"),
+        ("lines:\n  1: p -> p    taut\n  2: K{{a}} (p -> p)    nec{{a}} {n}\ngoal: p\n",
+         "1"),
+        ("lines:\n  1: p -> p    taut\n  {n}: p -> p    taut\ngoal: p -> p\n", "2"),
+    ], ids=["mp", "nec", "numbered"])
+    def test_a_number_too_long_to_name_a_line_is_refused_at_its_line(self, text, valid):
+        # past 18 significant digits, however many; int() refuses past 4300
+        for digits in (19, 5000):
+            with pytest.raises(ProofFormatError) as err:
+                parse_derivation(text.format(n="9" * digits))
+            assert str(err.value) == (
+                f"line 3: a number of {digits} digits is too long to name a line")
+        # leading zeros count for none
+        assert parse_derivation(text.format(n="0" * 30 + valid)) \
+            == parse_derivation(text.format(n=valid))
+
 
 def _core(text):
     f = parse(text)

@@ -165,6 +165,12 @@ def _bad_proof(tmp_path):
     return ["prove", "bad.proof"]
 
 
+def _long_reference_proof(tmp_path):
+    (tmp_path / "long.proof").write_text(
+        f"lines:\n  1: p -> p    taut\n  2: p    mp {'9' * 5000} 1\ngoal: p\n")
+    return ["prove", "long.proof"]
+
+
 def _check(formula_text):
     def argv(tmp_path):
         (tmp_path / "t1.ets").write_text(fixture_text("t1"))
@@ -192,8 +198,19 @@ def _check(formula_text):
      f"{MAX_LEMMA_PAIRS}: 31989 histories of length at most 3 times 15 nonempty "
      "coalitions, plus 16 coalitions times (4 states squared + 16 complete "
      "profiles squared)"),
+    (_long_reference_proof, "line 3: a number of 5000 digits is too long to name a line"),
+    # refused before the system is generated
+    (lambda tmp_path: ["fuzz", "--states", "120000", "--systems", "1", "--instances", "1"],
+     f"a generated system has more than {MAX_HISTORIES} histories of length at most 3"),
+    # 2^20000 coalitions: a count too long to print
+    (lambda tmp_path: ["fuzz", "--agents", "20000", "--choices", "1", "--states", "1",
+                       "--depth", "0", "--systems", "1", "--instances", "1"],
+     f"a generated system makes more than {MAX_LEMMA_PAIRS} pairs for the lemma suite: "
+     "its 20000 agents form 2^20000 coalitions"),
+    (lambda tmp_path: ["fuzz", "--seed", "9" * 4299], "seed must satisfy |seed| < 2**63"),
 ], ids=["check-syntax", "check-agent", "prove-format", "prove-opaque", "fuzz-systems",
-        "fuzz-depth", "fuzz-agents", "fuzz-lemma-pairs"])
+        "fuzz-depth", "fuzz-agents", "fuzz-lemma-pairs", "prove-long-reference",
+        "fuzz-states", "fuzz-many-agents", "fuzz-long-seed"])
 def test_a_fresh_process_reports_usage_errors_with_exit_2(tmp_path, argv, message):
     start = time.perf_counter()
     done = _fresh(["-c", "import sys; from knowhow.cli import main; "

@@ -79,8 +79,15 @@ trans w2 [] w2
      "transition names undeclared state 'zz'"),
     (["a"], ["w0"], ["0"], {}, [], {"p": ["w0", "zz"]},
      "valuation of 'p' names undeclared state 'zz'"),
+    (["a"], ["w0", "w1"], ["0"], {"a": [[]]}, [], {}, "empty indist block"),
+    (["a"], ["w0", "w1"], ["0"], {"zz": [["w0", "w1"]]}, [], {},
+     "undeclared agent 'zz'"),
+    (["true"], ["w0"], ["0"], {}, [], {}, "agent name 'true' is reserved"),
+    (["a"], ["w0"], ["0"], {}, [], {"false": ["w0"]},
+     "proposition name 'false' is reserved"),
 ], ids=["no-agent", "no-state", "no-choice", "indist-state", "transition-state",
-        "valuation-state"])
+        "valuation-state", "empty-block", "indist-agent", "reserved-agent",
+        "reserved-proposition"])
 def test_a_system_built_in_code_is_checked_by_its_constructor(
         agents, states, choices, indist, mechanism, valuation, message):
     with pytest.raises(ModelFormatError) as err:
